@@ -8,7 +8,6 @@ from .clt import (
     Observable,
     VarianceEstimate,
     VarianceProfile,
-    autocovariance,
     autocovariance_sequence,
     blocked_observable,
     sigma2_autocovariance,
@@ -38,8 +37,6 @@ from .maps import (
     PiecewiseLinearMap,
     SupportCycle,
     TentParams,
-    evaluate,
-    iterate,
     tent_conjugacy,
     tent_fixed_point,
     tent_map,
@@ -55,7 +52,6 @@ from .simulate import (
     MaximalInequalityReport,
     ks_statistic,
     limit_law_check,
-    maximal_inequality_check,
     maximal_inequality_sweep,
     mixture_normal_cdf,
     partial_sum_paths,
@@ -67,10 +63,6 @@ from .transfer import (
     condition_report,
     frobenius_perron,
     koopman,
-    normalized_transfer,
-    tent_frobenius_perron,
-    tent_transfer,
-    three_branch_frobenius_perron,
     three_branch_transfer,
 )
 

@@ -45,7 +45,7 @@ from .simulate import (
     partial_sum_paths,
     sample_from_density,
 )
-from .transfer import condition_report, koopman, three_branch_frobenius_perron
+from .transfer import condition_report, frobenius_perron, koopman
 
 DEFAULT_SEED = 1729
 
@@ -93,7 +93,7 @@ def crit_worked_variance(seed: int = DEFAULT_SEED) -> CriterionResult:
 
 def crit_nonergodic_eta(seed: int = DEFAULT_SEED) -> CriterionResult:
     tb = three_branch_system()
-    image = three_branch_frobenius_perron(tb.observable.f)
+    image = frobenius_perron(three_branch_map(), tb.observable.f)
     zero_err = image.sup_norm()
     prof_auto = variance_profile(tb.components, tb.observable, tb.map, tb.transfer, J=32)
     prof_dyad = variance_profile_dyadic(

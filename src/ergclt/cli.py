@@ -65,6 +65,8 @@ class RunConfig:
             raise ValueError("steps must lie in [1, 2^22]")
         if not 1 <= self.paths <= 10**6:
             raise ValueError("paths must lie in [1, 10^6]")
+        if self.truncation_J < 0:
+            raise ValueError("truncation must be >= 0")
         if self.format not in ("csv", "json"):
             raise ValueError("format must be csv or json")
 
@@ -265,10 +267,6 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get("ERGCLT_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
     parser = _parser()
     try:
         args = parser.parse_args(argv)

@@ -12,6 +12,7 @@ partial-sum series.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -68,22 +69,18 @@ class VarianceEstimate:
     method: str
     truncation_J: int = 0
     tail_bound: float = 0.0
-    stderr: float | None = None
 
     def __post_init__(self):
         if self.sigma2 < 0:
             raise ValueError("variance must be nonnegative")
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "sigma2": self.sigma2,
             "method": self.method,
             "truncation_J": self.truncation_J,
             "tail_bound": self.tail_bound,
         }
-        if self.stderr is not None:
-            out["stderr"] = self.stderr
-        return out
 
 
 @dataclass
@@ -189,41 +186,21 @@ def blocked_observable(h: Observable, map_: PiecewiseLinearMap, r: int) -> Obser
 # autocovariances and variance estimates
 # ----------------------------------------------------------------------
 
-_DEAD_REL = 1e-13
-
-
-def autocovariance(h: Observable, transfer_action: NormalizedTransfer, j: int) -> float:
-    """∫ (P_T^j h) h dν, the lag-j autocovariance under the invariant measure."""
-    if j < 0:
-        raise ValueError("lag must be nonnegative")
-    v = transfer_action.weighted(h.f)
-    for _ in range(j):
-        v = transfer_action.push(v).pruned()
-    return transfer_action.inner(v, h.f)
-
-
 def autocovariance_sequence(h: Observable, transfer_action: NormalizedTransfer, max_lag: int,
                             *, step: int = 1, window=None):
     """Lags 0..max_lag of ∫ (P_T^(step*j) q) h dν with q = h restricted to `window`.
 
     Returns (terms, exhausted_at) where exhausted_at is the first lag whose
-    iterate vanished identically (terms beyond it are exactly zero), or None.
+    iterate died (terms from it on are exactly zero), or None.
     """
     v = transfer_action.weighted(h.f)
     if window is not None:
         v = v.windowed_union(window).pruned()
-    scale = max(v.norm_l1(), 1e-300)
     terms = [transfer_action.inner(v, h.f)]
-    exhausted = None
-    for j in range(1, max_lag + 1):
-        for _ in range(step):
-            v = transfer_action.push(v)
-        v = v.pruned()
-        if v.norm_l1() <= _DEAD_REL * scale:
-            exhausted = j
-            terms.extend([0.0] * (max_lag + 1 - len(terms)))
-            break
-        terms.append(transfer_action.inner(v, h.f))
+    for w, _ in itertools.islice(transfer_action.iterates(v, step), max_lag):
+        terms.append(transfer_action.inner(w, h.f))
+    exhausted = len(terms) if len(terms) <= max_lag else None
+    terms.extend([0.0] * (max_lag + 1 - len(terms)))
     return np.array(terms), exhausted
 
 
@@ -260,19 +237,23 @@ def _clamp_sigma2(value: float, terms) -> float:
     return max(value, 0.0)
 
 
+def _series_estimate(terms: np.ndarray, exhausted, J: int, r: int, method: str) -> VarianceEstimate:
+    """r times the two-sided lag sum, with its tail bound and the lags used."""
+    tail = r * _geometric_tail(terms, exhausted)
+    sigma2 = float(r * (terms[0] + 2.0 * terms[1:].sum()))
+    return VarianceEstimate(
+        sigma2=_clamp_sigma2(sigma2, terms),
+        method=method,
+        truncation_J=(exhausted - 1) if exhausted is not None else J,
+        tail_bound=tail,
+    )
+
+
 def sigma2_resolvent(h: Observable, transfer_action: NormalizedTransfer, J: int = 64) -> VarianceEstimate:
     """Long-run variance via 2∫ h f dν − ∫ h² dν with f the truncated resolvent sum."""
     h.check_centered(transfer_action.gstar)
     terms, exhausted = autocovariance_sequence(h, transfer_action, J)
-    tail = _geometric_tail(terms, exhausted)
-    sigma2 = float(terms[0] + 2.0 * terms[1:].sum())
-    j_used = (exhausted - 1) if exhausted is not None else J
-    return VarianceEstimate(
-        sigma2=_clamp_sigma2(sigma2, terms),
-        method="resolvent",
-        truncation_J=j_used,
-        tail_bound=tail,
-    )
+    return _series_estimate(terms, exhausted, J, 1, "resolvent")
 
 
 def sigma2_autocovariance(h: Observable, map_: PiecewiseLinearMap, transfer_action: NormalizedTransfer,
@@ -281,20 +262,11 @@ def sigma2_autocovariance(h: Observable, map_: PiecewiseLinearMap, transfer_acti
     restricted to the first interval of the support cycle."""
     h.check_centered(transfer_action.gstar)
     r = cycle.period
-    hr = blocked_observable(h, map_, r)
     first = cycle.intervals[0]
     terms, exhausted = autocovariance_sequence(
-        hr, transfer_action, J, step=r, window=[(first.lo, first.hi)]
+        blocked_observable(h, map_, r), transfer_action, J, step=r, window=[(first.lo, first.hi)]
     )
-    tail = r * _geometric_tail(terms, exhausted)
-    sigma2 = float(r * (terms[0] + 2.0 * terms[1:].sum()))
-    j_used = (exhausted - 1) if exhausted is not None else J
-    return VarianceEstimate(
-        sigma2=_clamp_sigma2(sigma2, terms),
-        method="autocov",
-        truncation_J=j_used,
-        tail_bound=tail,
-    )
+    return _series_estimate(terms, exhausted, J, r, "autocov")
 
 
 def tent_sigma_recursion(a: float, base: VarianceEstimate | float) -> float:
@@ -314,21 +286,6 @@ def tent_sigma_recursion(a: float, base: VarianceEstimate | float) -> float:
     return sigma_base * a * (a - 1.0) / (math.sqrt(2.0**m) * b * (b - 1.0)) * prod
 
 
-def tent_sigma_recursion_alt(a: float, base: VarianceEstimate | float) -> float:
-    """Equivalent product form using the fixed points x*(a^(2^k)); kept as an
-    internal consistency check of the recursion algebra."""
-    _check_tent_param(a)
-    m = tent_window_exponent(a)
-    if m < 1:
-        raise ValueError(f"a={a} is already in the base window (a > sqrt(2))")
-    sigma_base = math.sqrt(base.sigma2) if isinstance(base, VarianceEstimate) else float(base)
-    prod = 1.0
-    for k in range(m):
-        ak = a ** (2**k)
-        prod *= tent_fixed_point(ak) * (ak - 1.0)
-    return sigma_base / (math.sqrt(2.0**m) * a ** (2**m - 1)) * prod
-
-
 # ----------------------------------------------------------------------
 # non-ergodic variance profiles
 # ----------------------------------------------------------------------
@@ -345,7 +302,7 @@ def variance_profile(components: list[ErgodicComponent], h: Observable, map_: Pi
     out = []
     for comp in components:
         first = comp.first
-        mass = sum(transfer_action.nu_mass(iv.lo, iv.hi) for iv in comp.cycle)
+        mass = sum(transfer_action.gstar.integral(iv.lo, iv.hi) for iv in comp.cycle)
         if mass <= 0:
             raise ValueError("component carries no invariant mass")
         terms, exhausted = autocovariance_sequence(
@@ -367,26 +324,22 @@ def variance_profile_dyadic(h: Observable, map_: PiecewiseLinearMap,
     the duality of the transfer and composition operators, to the weighted lag
     sum Σ_s min(s, 2n−s) c_s with c_s the component-restricted autocovariance;
     only one pass of transfer iterates up to lag 2^(J+1) − 1 is needed, and
-    the pass stops early once an iterate vanishes identically.
+    the pass stops early once an iterate dies.
     """
     h.check_centered(transfer_action.gstar)
     max_lag = 2 ** (J + 1) - 1
-    v = transfer_action.weighted(h.f)
-    scale = max(v.norm_l1(), 1e-300)
     ncomp = len(invariant_partition)
     cov = np.zeros((ncomp, max_lag + 1))
     masses = np.empty(ncomp)
     base = np.empty(ncomp)
     for i, supports in enumerate(invariant_partition):
-        masses[i] = sum(transfer_action.nu_mass(lo, hi) for (lo, hi) in supports)
+        masses[i] = sum(transfer_action.gstar.integral(lo, hi) for (lo, hi) in supports)
         if masses[i] <= 0:
             raise ValueError("invariant component carries no mass")
         base[i] = sum(integrate_product([h.f, h.f, transfer_action.gstar], lo, hi)
                       for (lo, hi) in supports) / masses[i]
-    for s in range(1, max_lag + 1):
-        v = transfer_action.push(v).pruned()
-        if v.norm_l1() <= _DEAD_REL * scale:
-            break
+    lags = itertools.islice(transfer_action.iterates(transfer_action.weighted(h.f)), max_lag)
+    for s, (v, _) in enumerate(lags, start=1):
         for i, supports in enumerate(invariant_partition):
             cov[i, s] = sum(integrate_product([v, h.f], lo, hi) for (lo, hi) in supports) / masses[i]
 

@@ -116,18 +116,6 @@ class PiecewiseLinearMap:
         return Interval(min(vals), max(vals))
 
 
-def evaluate(map_: PiecewiseLinearMap, x: float) -> float:
-    return map_(x)
-
-
-def iterate(map_: PiecewiseLinearMap, x: float, n: int):
-    """Orbit [x, T(x), ..., T^n(x)]."""
-    orbit = [float(x)]
-    for _ in range(n):
-        orbit.append(map_(orbit[-1]))
-    return orbit
-
-
 def tent_map(a: float) -> PiecewiseLinearMap:
     """The symmetric tent x -> a - 1 - a|x| on [-1, 1], slope parameter in (1, 2]."""
     _check_tent_param(a)

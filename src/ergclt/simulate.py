@@ -17,6 +17,7 @@ orbits from stationary initial points.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -27,7 +28,7 @@ from scipy.special import ndtr
 
 from .clt import Observable, VarianceProfile
 from .maps import PiecewiseLinearMap
-from .piecewise import PiecewiseAffineFunction, integrate_product
+from .piecewise import PiecewiseAffineFunction, integrate_product, pw_sum
 from .transfer import NormalizedTransfer, koopman
 
 _TWO64 = 1 << 64
@@ -383,28 +384,16 @@ def dyadic_block_norms(f: Observable, transfer_action: NormalizedTransfer, q: in
 
     Iterates are collected between dyadic marks and merged in one pass there,
     which is much cheaper than a running per-step sum."""
-    from .piecewise import pw_sum
-
-    g = transfer_action.gstar
-    ginv = g.reciprocal_step(transfer_action.floor)
-    v = transfer_action.weighted(f.f)
-    scale = max(v.norm_l1(), 1e-300)
+    ginv = transfer_action.gstar.reciprocal_step(transfer_action.floor)
+    lags = transfer_action.iterates(transfer_action.weighted(f.f))
     running = None
-    pending = []
     norms = []
-    dead = False
     for j in range(q):
-        if not dead:
-            start = 1 if j == 0 else 2 ** (j - 1) + 1
-            for _ in range(start, 2**j + 1):
-                v = transfer_action.push(v).pruned()
-                if v.norm_l1() <= 1e-14 * scale:
-                    dead = True
-                    break
-                pending.append(v)
+        # lags 2^(j-1)+1 .. 2^j (lag 1 alone for j = 0)
+        pending = [v for v, _ in itertools.islice(lags, 2 ** (j - 1) if j else 1)]
         if pending:
             running = pw_sum(([running] if running is not None else []) + pending).pruned()
-            pending = []
+        del pending  # merged: free it before the next block is pushed
         if running is None:
             norms.append(0.0)
         else:
@@ -416,9 +405,16 @@ def maximal_inequality_sweep(map_: PiecewiseLinearMap, f: Observable,
                              transfer_action: NormalizedTransfer,
                              nu: PiecewiseAffineFunction, ns, trials: int,
                              seed: int, atol: float = 1e-10) -> list[MaximalInequalityReport]:
-    """maximal_inequality_check over several horizons, sharing the
-    transfer-iterate pass (the block norms for every q are prefixes of one
-    iterate sequence) and one orbit batch of length max(ns)."""
+    """Empirically check ||max_k |S_k|||_2 against the dyadic transfer bound
+    at each horizon n in ns.
+
+    The left side is estimated from `trials` stationary orbits; the right
+    side is computed exactly in the piecewise algebra.  All horizons share
+    one transfer-iterate pass (the block norms for every q are prefixes of
+    one iterate sequence) and one orbit batch of length max(ns).  `atol`
+    absorbs floating-point dust when f vanishes a.e. on the invariant
+    support and both sides are rounding noise.
+    """
     ns = sorted(int(n) for n in ns)
     if ns[0] < 1:
         raise ValueError("need n >= 1")
@@ -456,17 +452,3 @@ def maximal_inequality_sweep(map_: PiecewiseLinearMap, f: Observable,
             holds=bool(lhs <= rhs + 3.0 * lhs_stderr + atol), trials=trials,
         ))
     return reports
-
-
-def maximal_inequality_check(map_: PiecewiseLinearMap, f: Observable,
-                             transfer_action: NormalizedTransfer,
-                             nu: PiecewiseAffineFunction, n: int, trials: int,
-                             seed: int, atol: float = 1e-10) -> MaximalInequalityReport:
-    """Empirically check ||max_k |S_k|||_2 against the dyadic transfer bound.
-
-    The left side is estimated from `trials` stationary orbits; the right
-    side is computed exactly in the piecewise algebra.  `atol` absorbs
-    floating-point dust when f vanishes a.e. on the invariant support and
-    both sides are rounding noise.
-    """
-    return maximal_inequality_sweep(map_, f, transfer_action, nu, [n], trials, seed, atol)[0]

@@ -10,14 +10,19 @@ defers the division by g to the final quadrature.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .maps import PiecewiseLinearMap, tent_map, three_branch_map
+from .maps import PiecewiseLinearMap, three_branch_map
 from .piecewise import PiecewiseAffineFunction, integrate_product, pw_sum
+
+# An iterate whose L1 norm is at most this fraction of its start's is dead:
+# it and every later iterate count as zero.
+DEAD_ITERATE_REL = 1e-13
 
 
 def frobenius_perron(map_: PiecewiseLinearMap, f: PiecewiseAffineFunction) -> PiecewiseAffineFunction:
@@ -36,18 +41,6 @@ def frobenius_perron(map_: PiecewiseLinearMap, f: PiecewiseAffineFunction) -> Pi
         part = f.compose_affine(1.0 / s, -c / s, img_lo, img_hi) * (1.0 / abs(s))
         parts.append(part.embed(lo, hi))
     return pw_sum(parts).pruned()
-
-
-def tent_frobenius_perron(a: float, f: PiecewiseAffineFunction) -> PiecewiseAffineFunction:
-    """Transfer operator of the tent map: the two inverse branches
-    (x+1-a)/a and -(x+1-a)/a, each weighted 1/a, supported on [-1, a-1]."""
-    return frobenius_perron(tent_map(a), f)
-
-
-def three_branch_frobenius_perron(f: PiecewiseAffineFunction) -> PiecewiseAffineFunction:
-    """Transfer operator of the three-branch map (Lebesgue is invariant, so
-    this is already the normalized operator)."""
-    return frobenius_perron(three_branch_map(), f)
 
 
 def koopman(map_: PiecewiseLinearMap, f: PiecewiseAffineFunction) -> PiecewiseAffineFunction:
@@ -87,29 +80,28 @@ class NormalizedTransfer:
         """One reference-measure transfer step of a weighted representative."""
         return frobenius_perron(self.map, v)
 
+    def iterates(self, v: PiecewiseAffineFunction, step: int = 1):
+        """Yield (P^(step*n) v, its L1 norm) for n = 1, 2, ... of a weighted start v.
+
+        Each iterate is `step` pushes followed by one pruning.  The sequence
+        ends before the first dead iterate, one whose L1 norm is at most
+        DEAD_ITERATE_REL times the start's; callers read every later term as
+        zero.  The sequence is otherwise unbounded: take as many as needed.
+        """
+        dead = DEAD_ITERATE_REL * v.norm_l1()
+        while True:
+            for _ in range(step):
+                v = self.push(v)
+            v = v.pruned()
+            l1 = v.norm_l1()
+            if l1 <= dead:
+                return
+            yield v, l1
+
     def inner(self, v: PiecewiseAffineFunction, f: PiecewiseAffineFunction,
               lo: float | None = None, hi: float | None = None) -> float:
         """∫ (v/g) f dν = ∫ v f dx for a weighted representative v."""
         return integrate_product([v, f], lo, hi)
-
-    def nu_mass(self, lo: float, hi: float) -> float:
-        return self.gstar.integral(lo, hi)
-
-    def nu_integral(self, f: PiecewiseAffineFunction, lo: float | None = None, hi: float | None = None) -> float:
-        return integrate_product([f, self.gstar], lo, hi)
-
-
-def normalized_transfer(p_action, gstar: PiecewiseAffineFunction, f: PiecewiseAffineFunction,
-                        floor: float = 1e-12) -> PiecewiseAffineFunction:
-    """One application of the normalized operator built from a raw transfer
-    action: P(f g)/g on the support of g, zero where g <= floor."""
-    pushed = p_action(f.scale_by_step(gstar))
-    out, _ = pushed.divide_by_step(gstar, floor)
-    return out.pruned()
-
-
-def tent_transfer(a: float, gstar: PiecewiseAffineFunction, floor: float = 1e-12) -> NormalizedTransfer:
-    return NormalizedTransfer(tent_map(a), gstar, floor)
 
 
 def three_branch_transfer() -> NormalizedTransfer:
@@ -169,16 +161,13 @@ def _fit_decay_rate(norms: np.ndarray) -> tuple[float, float]:
     return float(math.exp(slope)), resid
 
 
-_ZERO_NORM = 1e-14
-
-
 def condition_report(h: PiecewiseAffineFunction, transfer_action: NormalizedTransfer,
                      nu: PiecewiseAffineFunction | None = None, K: int = 64) -> ConditionReport:
     """Norms V_n of partial sums of transfer iterates plus decay diagnostics.
 
     Requires h centered under nu (the invariant measure of the action) to
-    1e-9.  Norms are exact piecewise quadratures; once an iterate vanishes
-    identically the remaining V_n are constant and filled without iterating.
+    1e-9.  Norms are exact piecewise quadratures; once an iterate dies the
+    remaining V_n are constant and filled without iterating.
     """
     if K < 8:
         raise ValueError("need K >= 8")
@@ -189,30 +178,27 @@ def condition_report(h: PiecewiseAffineFunction, transfer_action: NormalizedTran
     ginv = g.reciprocal_step(transfer_action.floor)
     sup_h = h.sup_norm()
 
-    v = transfer_action.weighted(h)     # P^k (h g), k = 0
-    running = v                          # sum of iterates 0..k
-    scale = max(v.norm_l1(), 1e-30)
+    def norm2(f):
+        return math.sqrt(max(integrate_product([f, f, ginv]), 0.0))
+
+    running = transfer_action.weighted(h)   # sum of the iterates so far
     V = []
     pt2 = []
     pt1 = []
     interp = []
-    for n in range(1, K + 1):
-        V.append(math.sqrt(max(integrate_product([running, running, ginv]), 0.0)))
-        v = transfer_action.push(v).pruned()
-        l1 = v.norm_l1()
-        if l1 <= _ZERO_NORM * scale:
-            # an identically-zero iterate fixes the partial sum; fill the
-            # remaining V_n with the constant instead of iterating on
-            pt2.append(0.0)
-            pt1.append(0.0)
-            interp.append(0.0)
-            V.extend(V[-1] for _ in range(K - len(V)))
-            break
+    for v, l1 in itertools.islice(transfer_action.iterates(running), K):
+        V.append(norm2(running))
         running = pw_sum([running, v]).pruned()
-        pt2.append(math.sqrt(max(integrate_product([v, v, ginv]), 0.0)))
+        pt2.append(norm2(v))
         pt1.append(l1)
         interp.append(math.sqrt(max(sup_h, 0.0) * l1))
-    theta, resid = _fit_decay_rate(np.array(pt2)) if pt2 else (0.0, 0.0)
+    if len(V) < K:
+        # a dead iterate fixes the partial sum
+        V.extend([norm2(running)] * (K - len(V)))
+        pt2.append(0.0)
+        pt1.append(0.0)
+        interp.append(0.0)
+    theta, resid = _fit_decay_rate(np.array(pt2))
 
     ns = np.arange(1, K + 1, dtype=float)
     series_partial = np.cumsum(np.array(V) * ns ** (-1.5)).tolist()

@@ -1,5 +1,6 @@
 """Command-line surface: outputs, config precedence, exit codes."""
 
+import hashlib
 import json
 import math
 
@@ -156,6 +157,8 @@ def test_runconfig_bounds():
         RunConfig(paths=10**6 + 1).validate()
     with pytest.raises(ValueError):
         RunConfig(format="xml").validate()
+    with pytest.raises(ValueError):
+        RunConfig(truncation_J=-1).validate()
     RunConfig().validate()
 
 
@@ -167,3 +170,34 @@ def test_density_json_format_inlines_table(tmp_path):
     meta = read_json(out + ".json")
     assert len(meta["cells"]) == 32
     assert meta["cells"][0]["value"] == 0.5
+
+
+# SHA-256 of every file each run writes, recorded before the transfer-iterate
+# refactor; any change to these bytes must be deliberate.
+PINNED_RUNS = {
+    "variance_tent_1.8": (
+        ["variance", "--map", "tent", "--a", "1.8"],
+        {"run.json": "a5196c1b180bf0a24fefb665ec28a53a8ffd0374b46dc5784f712ba8ea36dafd"},
+    ),
+    "variance_three_branch": (
+        ["--config", "levels.cfg", "variance", "--map", "three-branch"],
+        {"run.json": "242bd4163c69a29e60e8a0a04af0545073f664e568a38383459093f12cb62bd7"},
+    ),
+    "simulate_three_branch": (
+        ["simulate", "--map", "three-branch", "--paths", "200", "--steps", "256", "--seed", "7"],
+        {"run.csv": "4cd8604a9fe154fd06d731de8827325b6d69d05ff76062397fe51034b8a7ebff",
+         "run.json": "49cf5d8ff2874bad6e52e9dbeb99383d3ab678579eb3cdc8ee3413390d7bf78c"},
+    ),
+}
+
+
+@pytest.mark.parametrize("run", sorted(PINNED_RUNS))
+def test_output_bytes_pinned(run, tmp_path, monkeypatch):
+    """The JSON carries the resolved config, output path included, so every
+    run writes to the same relative path."""
+    argv, digests = PINNED_RUNS[run]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "levels.cfg").write_text("dyadic_levels=6\n")
+    assert main(argv + ["--out", "run"]) == 0
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in digests}
+    assert got == digests

@@ -7,8 +7,6 @@ import pytest
 
 from ergclt.maps import (
     Interval,
-    evaluate,
-    iterate,
     squared_param,
     tent_conjugacy,
     tent_fixed_point,
@@ -53,15 +51,16 @@ def test_three_branch_values():
 
 
 def test_iterate():
-    assert iterate(tent_map(2.0), 0.0, 2) == [0.0, 1.0, -1.0]
-    assert iterate(three_branch_map(), 0.125, 2) == [0.125, 0.25, 0.0]
-    orbit = iterate(tent_map(1.5), 0.2, 3)
+    t2, tb, t15 = tent_map(2.0), three_branch_map(), tent_map(1.5)
+    assert [0.0, t2(0.0), t2(t2(0.0))] == [0.0, 1.0, -1.0]
+    assert [0.125, tb(0.125), tb(tb(0.125))] == [0.125, 0.25, 0.0]
+    orbit = [0.2, t15(0.2), t15(t15(0.2)), t15(t15(t15(0.2)))]
     np.testing.assert_allclose(orbit, [0.2] * 4, atol=1e-15)
 
 
 def test_evaluate_domain_error():
     with pytest.raises(ValueError):
-        evaluate(tent_map(2.0), 1.5)
+        tent_map(2.0)(1.5)
     with pytest.raises(ValueError):
         three_branch_map()(-0.1)
 

@@ -14,7 +14,6 @@ from ergclt.simulate import (
     _dyadic_engine_params,
     ks_statistic,
     limit_law_check,
-    maximal_inequality_check,
     maximal_inequality_sweep,
     mixture_normal_cdf,
     partial_sum_paths,
@@ -248,7 +247,7 @@ def test_maximal_inequality_martingale_case():
     """With P_T f = 0 the bound is 3 sqrt(n) ||f||_2 and Doob already gives
     2 sqrt(n) ||f||_2, so the margin must be wide."""
     tb = three_branch_system()
-    rep = maximal_inequality_check(tb.map, tb.observable, tb.transfer, tb.density, 64, 2000, 37)
+    rep = maximal_inequality_sweep(tb.map, tb.observable, tb.transfer, tb.density, [64], 2000, 37)[0]
     assert rep.delta_q == 0.0
     expected_rhs = 3.0 * math.sqrt(64) * math.sqrt(2.5)
     assert rep.rhs == pytest.approx(expected_rhs, abs=1e-9)
@@ -258,7 +257,7 @@ def test_maximal_inequality_martingale_case():
 @pytest.mark.parametrize("n", [8, 64, 512])
 def test_maximal_inequality_three_branch(n):
     tb = three_branch_system()
-    rep = maximal_inequality_check(tb.map, tb.observable, tb.transfer, tb.density, n, 2000, 41)
+    rep = maximal_inequality_sweep(tb.map, tb.observable, tb.transfer, tb.density, [n], 2000, 41)[0]
     assert rep.holds
 
 
@@ -280,6 +279,6 @@ def test_maximal_inequality_random_observables():
 def test_maximal_inequality_q_definition():
     tb = three_branch_system()
     for n, q in ((8, 4), (64, 7), (512, 10), (7, 3)):
-        rep = maximal_inequality_check(tb.map, tb.observable, tb.transfer, tb.density, n, 100, 47)
+        rep = maximal_inequality_sweep(tb.map, tb.observable, tb.transfer, tb.density, [n], 100, 47)[0]
         assert rep.q == q
         assert 2 ** (rep.q - 1) <= n < 2**rep.q

@@ -1,23 +1,24 @@
 """Transfer-operator actions: exactness, duality, contraction, and the
 summability diagnostics."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergclt.densities import tent_density
 from ergclt.maps import tent_map, three_branch_map
 from ergclt.piecewise import PiecewiseAffineFunction as PAF
 from ergclt.piecewise import integrate_product
 from ergclt.transfer import (
+    DEAD_ITERATE_REL,
+    NormalizedTransfer,
     condition_report,
     frobenius_perron,
     koopman,
-    normalized_transfer,
-    tent_frobenius_perron,
-    tent_transfer,
-    three_branch_frobenius_perron,
     three_branch_transfer,
 )
 
@@ -31,12 +32,12 @@ def random_step(rng, lo=-1.0, hi=1.0, pieces=7):
 
 
 def test_tent2_annihilates_coordinate():
-    out = tent_frobenius_perron(2.0, PAF.affine(-1, 1, 1, 0))
+    out = frobenius_perron(tent_map(2.0), PAF.affine(-1, 1, 1, 0))
     assert out.sup_norm() == 0.0
 
 
 def test_tent2_fixes_uniform():
-    out = tent_frobenius_perron(2.0, PAF.constant(-1, 1, 0.5))
+    out = frobenius_perron(tent_map(2.0), PAF.constant(-1, 1, 0.5))
     assert np.abs(out(np.linspace(-0.999, 0.999, 101)) - 0.5).max() == 0.0
 
 
@@ -44,19 +45,19 @@ def test_tent2_fixes_uniform():
 def test_conservation(a):
     rng = np.random.default_rng(int(a * 10))
     f = random_step(rng)
-    pf = tent_frobenius_perron(a, f)
+    pf = frobenius_perron(tent_map(a), f)
     assert pf.integral() == pytest.approx(f.integral(), abs=1e-12)
 
 
 def test_three_branch_annihilates_four_step():
-    assert three_branch_frobenius_perron(FOUR_STEP).sup_norm() == 0.0
+    assert frobenius_perron(three_branch_map(), FOUR_STEP).sup_norm() == 0.0
 
 
 def test_three_branch_fixes_one_and_halves():
     one = PAF.constant(0, 1, 1.0)
-    assert (three_branch_frobenius_perron(one) - one).sup_norm() == 0.0
+    assert (frobenius_perron(three_branch_map(), one) - one).sup_norm() == 0.0
     left = PAF.step([0.0, 0.5, 1.0], [1.0, 0.0])
-    assert (three_branch_frobenius_perron(left) - left).sup_norm() == 0.0
+    assert (frobenius_perron(three_branch_map(), left) - left).sup_norm() == 0.0
 
 
 def test_preimage_integration_oracle():
@@ -83,7 +84,7 @@ def test_preimage_integration_oracle():
 
 def test_normalized_transfer_constants_and_conservation():
     g = tent_density(1.5, 1024)
-    nt = tent_transfer(1.5, g)
+    nt = NormalizedTransfer(tent_map(1.5), g)
     one = PAF.constant(-1, 1, 1.0)
     out = nt(one)
     core = np.linspace(-0.13, 0.49, 100)  # inside the invariant core for a=1.5
@@ -101,17 +102,17 @@ def test_normalized_transfer_constants_and_conservation():
 
 def test_normalized_transfer_matches_raw_at_a2():
     g2 = tent_density(2.0)
-    nt = tent_transfer(2.0, g2)
+    nt = NormalizedTransfer(tent_map(2.0), g2)
     rng = np.random.default_rng(2)
     f = random_step(rng)
     x = rng.uniform(-1, 1, 200)
-    np.testing.assert_allclose(nt(f)(x), tent_frobenius_perron(2.0, f)(x), atol=1e-12)
+    np.testing.assert_allclose(nt(f)(x), frobenius_perron(tent_map(2.0), f)(x), atol=1e-12)
 
 
 def test_normalized_transfer_function_form():
     g = tent_density(2.0)
     f = PAF.affine(-1, 1, 1, 0)
-    out = normalized_transfer(lambda v: tent_frobenius_perron(2.0, v), g, f)
+    out = NormalizedTransfer(tent_map(2.0), g)(f)
     assert out.sup_norm() <= 1e-14
 
 
@@ -124,7 +125,7 @@ def test_koopman_inverts_transfer():
     assert (back - f).norm_l2(tb.gstar) <= 1e-10
 
     g2 = tent_density(2.0)
-    nt2 = tent_transfer(2.0, g2)
+    nt2 = NormalizedTransfer(tent_map(2.0), g2)
     f2 = random_step(rng)
     back2 = nt2(koopman(tent_map(2.0), f2))
     assert (back2 - f2).norm_l2(g2) <= 1e-10
@@ -157,7 +158,7 @@ def test_contraction_in_l1_and_l2():
     rng = np.random.default_rng(6)
     # L1 contraction is exact for any reference density
     g = tent_density(1.7, 2048)
-    nt = tent_transfer(1.7, g)
+    nt = NormalizedTransfer(tent_map(1.7), g)
     for _ in range(10):
         f = random_step(rng)
         assert nt(f).norm_l1(g) <= f.norm_l1(g) + 1e-10
@@ -188,7 +189,7 @@ def test_composition_law():
 
 def test_condition_report_tent2():
     g2 = tent_density(2.0)
-    nt = tent_transfer(2.0, g2)
+    nt = NormalizedTransfer(tent_map(2.0), g2)
     rep = condition_report(PAF.affine(-1, 1, 1, 0), nt, K=64)
     target = 1.0 / math.sqrt(3.0)
     assert max(abs(v - target) for v in rep.V) <= 1e-12
@@ -205,7 +206,7 @@ def test_condition_report_three_branch():
 
 def test_condition_report_subadditivity_and_monotone_partials():
     g = tent_density(1.5, 1024)
-    nt = tent_transfer(1.5, g)
+    nt = NormalizedTransfer(tent_map(1.5), g)
     m = integrate_product([PAF.affine(-1, 1, 1, 0), g])
     h = PAF.affine(-1, 1, 1.0, -m)
     rep = condition_report(h, nt, K=24)
@@ -221,7 +222,7 @@ def test_condition_report_subadditivity_and_monotone_partials():
 def test_condition_report_interpolation_bound():
     """||P^n f||_2 <= sqrt(||f||_inf ||P^n f||_1) numerically."""
     g = tent_density(1.5, 1024)
-    nt = tent_transfer(1.5, g)
+    nt = NormalizedTransfer(tent_map(1.5), g)
     m = integrate_product([PAF.affine(-1, 1, 1, 0), g])
     rep = condition_report(PAF.affine(-1, 1, 1.0, -m), nt, K=16)
     for n2, bound in zip(rep.iterate_norm2, rep.interp_bound):
@@ -247,3 +248,112 @@ def test_sandwich_ratio_stable_across_horizons():
         rep = condition_report(FOUR_STEP, tb, K=K)
         ratios.append(rep.series_partial[-1] / rep.dyadic_partial[-1])
     assert max(ratios) / min(ratios) <= 1.5
+
+
+# ----------------------------------------------------------------------
+# property tests on random inputs
+# ----------------------------------------------------------------------
+
+PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
+
+
+@st.composite
+def breakpoints(draw, lo, hi):
+    """Sorted grid over [lo, hi].  Some inner points get a twin 1e-15..1e-14
+    above them, the scale at which the algebra merges breakpoints."""
+    inner = draw(st.lists(st.floats(lo, hi, exclude_min=True, exclude_max=True), max_size=6))
+    pts = list(inner)
+    for x in inner:
+        k = draw(st.integers(0, 10))  # 0: no twin
+        if k and x + k * 1e-15 < hi:
+            pts.append(x + k * 1e-15)
+    return np.unique(np.array([lo, hi] + pts))
+
+
+@st.composite
+def affine_functions(draw, lo, hi):
+    bp = draw(breakpoints(lo, hi))
+    coeffs = st.lists(st.floats(-5.0, 5.0), min_size=len(bp) - 1, max_size=len(bp) - 1)
+    return PAF(bp, draw(coeffs), draw(coeffs))
+
+
+TENT_A = st.floats(math.sqrt(2.0), 2.0, exclude_min=True)
+
+
+@st.composite
+def maps_and_functions(draw):
+    """A tent map with a in (sqrt(2), 2] or the three-branch map, and two
+    random piecewise-affine functions on its domain."""
+    map_ = draw(st.one_of(TENT_A.map(tent_map), st.just(three_branch_map())))
+    lo, hi = map_.domain.lo, map_.domain.hi
+    return map_, draw(affine_functions(lo, hi)), draw(affine_functions(lo, hi))
+
+
+@PROPERTY
+@given(maps_and_functions())
+def test_property_mass_conservation(case):
+    map_, f, _ = case
+    assert frobenius_perron(map_, f).integral() == pytest.approx(f.integral(), abs=1e-12)
+
+
+@PROPERTY
+@given(maps_and_functions())
+def test_property_adjointness(case):
+    """∫ P(f) g dx = ∫ f (g o T) dx for the Lebesgue transfer operator."""
+    map_, f, g = case
+    lhs = integrate_product([frobenius_perron(map_, f), g])
+    rhs = integrate_product([f, koopman(map_, g)])
+    assert lhs == pytest.approx(rhs, abs=1e-11)
+
+
+def assert_iterates_match_plain_loop(nt, v, step, max_lag=8):
+    """nt.iterates(v, step) yields what the plain push -> prune -> dead-test
+    loop computes and stops at the same lag; returns the live lag count."""
+    got = list(itertools.islice(nt.iterates(v, step), max_lag))
+    dead = DEAD_ITERATE_REL * v.norm_l1()
+    expect = []
+    for _ in range(max_lag):
+        for _ in range(step):
+            v = nt.push(v)
+        v = v.pruned()
+        if v.norm_l1() <= dead:
+            break
+        expect.append(v)
+    assert len(got) == len(expect)
+    for (w, l1), e in zip(got, expect):
+        assert np.array_equal(w.breakpoints, e.breakpoints)
+        assert np.array_equal(w.slopes, e.slopes) and np.array_equal(w.intercepts, e.intercepts)
+        assert l1 == e.norm_l1()
+    return len(got)
+
+
+DYADIC_VALUES = st.integers(1, 4).flatmap(
+    lambda k: st.lists(st.floats(-3.0, 3.0), min_size=2**k, max_size=2**k))
+
+
+@PROPERTY
+@given(TENT_A, st.integers(0, 2**16), st.sampled_from([1, 2]))
+def test_property_iterates_match_plain_loop_tent(a, seed, step):
+    """Centered steps, whose iterates decay and cross small norm ratios."""
+    g = tent_density(a, 256)
+    f = random_step(np.random.default_rng(seed))
+    f = f - PAF.constant(-1.0, 1.0, integrate_product([f, g]))
+    nt = NormalizedTransfer(tent_map(a), g)
+    assert_iterates_match_plain_loop(nt, nt.weighted(f), step)
+
+
+@PROPERTY
+@given(DYADIC_VALUES, st.booleans(), st.sampled_from([1, 2]))
+def test_property_iterates_match_plain_loop_three_branch(values, centered, step):
+    """Steps on 2^k dyadic cells; centered on both invariant halves, their
+    iterates die within k pushes, which exercises the stopping lag."""
+    vals = np.array(values)
+    half = len(vals) // 2
+    if centered:
+        vals[:half] -= vals[:half].mean()
+        vals[half:] -= vals[half:].mean()
+    nt = three_branch_transfer()
+    f = PAF.step(np.linspace(0.0, 1.0, len(vals) + 1), vals)
+    live = assert_iterates_match_plain_loop(nt, nt.weighted(f), step)
+    if centered:
+        assert live < 8
