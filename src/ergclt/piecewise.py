@@ -129,15 +129,27 @@ class PiecewiseAffineFunction:
     # ------------------------------------------------------------------
     # arithmetic
     # ------------------------------------------------------------------
-    def _coeffs_on(self, grid: np.ndarray):
-        """(slope, intercept) arrays of self on a refined grid covering the span."""
-        mids = 0.5 * (grid[:-1] + grid[1:])
-        idx = self.cell_index(mids)
-        sl = self.slopes[idx].copy()
-        ic = self.intercepts[idx].copy()
-        outside = (mids < self.breakpoints[0]) | (mids > self.breakpoints[-1])
-        sl[outside] = 0.0
-        ic[outside] = 0.0
+    def _cells_covered(self, mids: np.ndarray):
+        """Where self's pieces fall among the sorted cell midpoints of a grid.
+
+        Returns (cells, counts): `cells` slices the midpoints inside the span
+        and `counts[k]` of them lie in piece k, in order.  Each breakpoint is
+        placed among the midpoints, O(pieces log cells); a midpoint on a
+        breakpoint belongs to the piece to its right, one on the last
+        breakpoint to the last piece, as in `cell_index`.
+        """
+        edges = np.searchsorted(mids, self.breakpoints, side="left")
+        edges[-1] = np.searchsorted(mids, self.breakpoints[-1], side="right")
+        return slice(edges[0], edges[-1]), np.diff(edges)
+
+    def _coeffs_on(self, mids: np.ndarray):
+        """(slope, intercept) arrays of self on the cells of a grid, given by
+        their sorted midpoints; 0 on cells outside the span."""
+        cells, counts = self._cells_covered(mids)
+        sl = np.zeros(len(mids))
+        ic = np.zeros(len(mids))
+        sl[cells] = np.repeat(self.slopes, counts)
+        ic[cells] = np.repeat(self.intercepts, counts)
         return sl, ic
 
     def __mul__(self, c: float) -> "PiecewiseAffineFunction":
@@ -158,8 +170,9 @@ class PiecewiseAffineFunction:
     def scale_by_step(self, weight: "PiecewiseAffineFunction") -> "PiecewiseAffineFunction":
         """Exact product with a step function (result stays piecewise affine)."""
         grid = merge_grids([self, weight])
-        sl, ic = self._coeffs_on(grid)
-        w = weight._coeffs_on(grid)[1]  # slopes are zero for a step function
+        mids = 0.5 * (grid[:-1] + grid[1:])
+        sl, ic = self._coeffs_on(mids)
+        w = weight._coeffs_on(mids)[1]  # slopes are zero for a step function
         return PiecewiseAffineFunction(grid, sl * w, ic * w, validate=False)
 
     def divide_by_step(self, weight: "PiecewiseAffineFunction", floor: float = 1e-12):
@@ -168,8 +181,9 @@ class PiecewiseAffineFunction:
         Returns (quotient, masked_cell_count).
         """
         grid = merge_grids([self, weight])
-        sl, ic = self._coeffs_on(grid)
-        w = weight._coeffs_on(grid)[1]
+        mids = 0.5 * (grid[:-1] + grid[1:])
+        sl, ic = self._coeffs_on(mids)
+        w = weight._coeffs_on(mids)[1]
         ok = w > floor
         inv = np.where(ok, 1.0 / np.where(ok, w, 1.0), 0.0)
         masked = int(np.count_nonzero(~ok & ((sl != 0.0) | (ic != 0.0))))
@@ -241,8 +255,8 @@ class PiecewiseAffineFunction:
             grid = np.concatenate(([self.lo], grid))
         if grid[-1] < self.hi:
             grid = np.concatenate((grid, [self.hi]))
-        sl, ic = self._coeffs_on(grid)
         mids = 0.5 * (grid[:-1] + grid[1:])
+        sl, ic = self._coeffs_on(mids)
         keep = np.zeros(len(mids), dtype=bool)
         for (a, b) in intervals:
             keep |= (mids > a) & (mids < b)
@@ -304,8 +318,8 @@ class PiecewiseAffineFunction:
         cross = (left * right < 0) & (self.slopes != 0)
         roots = -self.intercepts[cross] / self.slopes[cross]
         grid = _dedupe_breakpoints(np.unique(np.concatenate([self.breakpoints, roots])))
-        sl, ic = self._coeffs_on(grid)
         mids = 0.5 * (grid[:-1] + grid[1:])
+        sl, ic = self._coeffs_on(mids)
         neg = sl * mids + ic < 0
         return PiecewiseAffineFunction(grid, np.where(neg, -sl, sl), np.where(neg, -ic, ic), validate=False)
 
@@ -323,18 +337,22 @@ def merge_grids(fns, lo: float | None = None, hi: float | None = None) -> np.nda
 
 
 def pw_sum(fns) -> PiecewiseAffineFunction:
-    """Exact sum of several piecewise-affine functions on the union span."""
-    lo = min(f.lo for f in fns)
-    hi = max(f.hi for f in fns)
-    grid = merge_grids([f.embed(lo, hi) for f in fns])
+    """Exact sum of several piecewise-affine functions on the union span.
+
+    Summands are added in order, each only on the merged cells its span
+    covers; the rest of the union span adds nothing, which leaves the same
+    bits as adding zero to a sum that starts at +0.0.
+    """
+    grid = merge_grids(fns)
     if len(grid) - 1 > MAX_PIECES:
         raise PieceBudgetExceeded(f"{len(grid) - 1} pieces")
-    sl = np.zeros(len(grid) - 1)
-    ic = np.zeros(len(grid) - 1)
+    mids = 0.5 * (grid[:-1] + grid[1:])
+    sl = np.zeros(len(mids))
+    ic = np.zeros(len(mids))
     for f in fns:
-        s, c = f._coeffs_on(grid)
-        sl += s
-        ic += c
+        cells, counts = f._cells_covered(mids)
+        sl[cells] += np.repeat(f.slopes, counts)
+        ic[cells] += np.repeat(f.intercepts, counts)
     return PiecewiseAffineFunction(grid, sl, ic, validate=False)
 
 
@@ -357,12 +375,8 @@ def integrate_product(fns, lo: float | None = None, hi: float | None = None) -> 
     vals = []
     slps = []
     for f in fns:
-        s, c = f._coeffs_on(grid)
-        outside = (mids < f.lo) | (mids > f.hi)
-        v = s * mids + c
-        v[outside] = 0.0
-        s = np.where(outside, 0.0, s)
-        vals.append(v)
+        s, c = f._coeffs_on(mids)
+        vals.append(s * mids + c)
         slps.append(s)
     if len(fns) == 1:
         cell = vals[0]

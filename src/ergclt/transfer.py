@@ -53,8 +53,8 @@ class NormalizedTransfer:
 
     The density must be a step function (true for Ulam densities and for the
     tent-density recursion), which keeps every action exact.  `masked_cells`
-    counts quotient cells suppressed because g fell below the floor; it is a
-    diagnostic only and is not synchronized across threads.
+    counts quotient cells suppressed because g fell below the floor, summed
+    over every call on this instance; it is a diagnostic only.
     """
 
     def __init__(self, map_: PiecewiseLinearMap, gstar: PiecewiseAffineFunction, floor: float = 1e-12):

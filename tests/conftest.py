@@ -1,0 +1,9 @@
+"""Suite-wide test settings."""
+
+from hypothesis import settings
+
+# One policy for every property test: a fixed, small example set, so that
+# runs repeat exactly and stay fast; no deadline, since a single case may
+# push iterates through the algebra.
+settings.register_profile("ergclt", max_examples=25, deadline=None, derandomize=True)
+settings.load_profile("ergclt")

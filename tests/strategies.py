@@ -1,0 +1,52 @@
+"""Hypothesis strategies for random piecewise-affine functions, shared by
+the property tests."""
+
+import numpy as np
+from hypothesis import strategies as st
+
+from ergclt.piecewise import PiecewiseAffineFunction as PAF
+
+
+@st.composite
+def breakpoints(draw, lo, hi):
+    """Sorted grid over [lo, hi].  Some inner points get a twin 1e-15..1e-14
+    above them, the scale at which the algebra merges breakpoints."""
+    inner = draw(st.lists(st.floats(lo, hi, exclude_min=True, exclude_max=True), max_size=6))
+    pts = list(inner)
+    for x in inner:
+        k = draw(st.integers(0, 10))  # 0: no twin
+        if k and x + k * 1e-15 < hi:
+            pts.append(x + k * 1e-15)
+    return np.unique(np.array([lo, hi] + pts))
+
+
+@st.composite
+def affine_functions(draw, lo, hi):
+    bp = draw(breakpoints(lo, hi))
+    coeffs = st.lists(st.floats(-5.0, 5.0), min_size=len(bp) - 1, max_size=len(bp) - 1)
+    return PAF(bp, draw(coeffs), draw(coeffs))
+
+
+@st.composite
+def spans(draw, lo=-1.0, hi=1.0):
+    """A sub-interval [a, b] of [lo, hi]; often the whole of it, sometimes
+    with an end 1e-15..1e-14 inside an end of the whole."""
+    ends = st.one_of(
+        st.just(None),
+        st.integers(1, 10),
+        st.floats(lo, hi, exclude_min=True, exclude_max=True),
+    )
+    a, b = draw(ends), draw(ends)
+    a = lo if a is None else lo + a * 1e-15 if isinstance(a, int) else a
+    b = hi if b is None else hi - b * 1e-15 if isinstance(b, int) else b
+    a, b = min(a, b), max(a, b)
+    if b - a < 1e-9:  # room for inner breakpoints
+        a, b = lo, hi
+    return a, b
+
+
+@st.composite
+def partial_functions(draw, lo=-1.0, hi=1.0):
+    """A random piecewise-affine function on a random sub-interval of [lo, hi]."""
+    a, b = draw(spans(lo, hi))
+    return draw(affine_functions(a, b))

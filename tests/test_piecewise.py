@@ -1,11 +1,18 @@
 """Exactness checks of the piecewise-affine algebra against brute-force
-Riemann sums and hand-computed values."""
+Riemann sums and hand-computed values, and byte-for-byte checks of its
+coefficient lookup against a reference midpoint search."""
+
+import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from ergclt.piecewise import PiecewiseAffineFunction as PAF
 from ergclt.piecewise import integrate_product, merge_grids, pw_sum
+
+from strategies import partial_functions, spans
 
 
 def random_paf(rng, lo=-1.0, hi=1.0, pieces=6, step=False):
@@ -165,3 +172,166 @@ def test_project_step_preserves_mass():
 def test_sup_norm():
     f = PAF.affine(-1.0, 1.0, 2.0, 0.5)
     assert f.sup_norm() == pytest.approx(2.5, abs=1e-15)
+
+
+# ----------------------------------------------------------------------
+# property tests: the merged-grid lookup against a midpoint search
+# ----------------------------------------------------------------------
+
+def reference_coeffs_on(f, mids):
+    """(slope, intercept) of f at each cell midpoint, found by binary-searching
+    every midpoint in f's breakpoints; 0 outside f's span."""
+    idx = f.cell_index(mids)
+    sl = f.slopes[idx].copy()
+    ic = f.intercepts[idx].copy()
+    outside = (mids < f.breakpoints[0]) | (mids > f.breakpoints[-1])
+    sl[outside] = 0.0
+    ic[outside] = 0.0
+    return sl, ic
+
+
+def reference_pw_sum(fns):
+    """Sum over the grid of the summands, each first extended by zero pieces
+    to the union span."""
+    lo = min(f.lo for f in fns)
+    hi = max(f.hi for f in fns)
+    grid = merge_grids([f.embed(lo, hi) for f in fns])
+    mids = 0.5 * (grid[:-1] + grid[1:])
+    sl = np.zeros(len(mids))
+    ic = np.zeros(len(mids))
+    for f in fns:
+        s, c = reference_coeffs_on(f, mids)
+        sl += s
+        ic += c
+    return PAF(grid, sl, ic, validate=False)
+
+
+def reference_integrate_product(fns, lo=None, hi=None):
+    """Product integral with a second mask of the cells outside each factor."""
+    span_lo = max(f.lo for f in fns) if lo is None else lo
+    span_hi = min(f.hi for f in fns) if hi is None else hi
+    if span_hi <= span_lo:
+        return 0.0
+    grid = merge_grids(fns, span_lo, span_hi)
+    w = np.diff(grid)
+    mids = 0.5 * (grid[:-1] + grid[1:])
+    vals = []
+    slps = []
+    for f in fns:
+        s, c = reference_coeffs_on(f, mids)
+        outside = (mids < f.lo) | (mids > f.hi)
+        v = s * mids + c
+        v[outside] = 0.0
+        s = np.where(outside, 0.0, s)
+        vals.append(v)
+        slps.append(s)
+    if len(fns) == 1:
+        cell = vals[0]
+    elif len(fns) == 2:
+        cell = vals[0] * vals[1] + slps[0] * slps[1] * w**2 / 12.0
+    else:
+        v1, v2, v3 = vals
+        s1, s2, s3 = slps
+        cell = v1 * v2 * v3 + (w**2 / 12.0) * (v1 * s2 * s3 + s1 * v2 * s3 + s1 * s2 * v3)
+    return float(np.dot(w, cell))
+
+
+def assert_same_bytes(got, expect):
+    assert np.asarray(got).tobytes() == np.asarray(expect).tobytes()
+
+
+def assert_same_function(got, expect):
+    assert_same_bytes(got.breakpoints, expect.breakpoints)
+    assert_same_bytes(got.slopes, expect.slopes)
+    assert_same_bytes(got.intercepts, expect.intercepts)
+
+
+def random_summands(rng, n):
+    """n functions on sub-intervals of [-1, 1] whose breakpoints come from one
+    shared pool of 40 points, each taken as is or 1e-15..1e-14 above (so
+    summands nearly share breakpoints); about one in five has a single piece."""
+    pool = np.concatenate(([-1.0, 1.0], rng.uniform(-1.0, 1.0, 38)))
+    fns = []
+    for _ in range(n):
+        k = 1 if rng.random() < 0.2 else int(rng.integers(2, 9))
+        pts = rng.choice(pool, size=k + 1, replace=False) + rng.integers(0, 11, size=k + 1) * 1e-15
+        bp = np.unique(pts)
+        if len(bp) < 2:
+            bp = np.array([-1.0, 1.0])
+        slopes = np.where(rng.random(len(bp) - 1) < 0.5, 0.0, rng.normal(size=len(bp) - 1))
+        fns.append(PAF(bp, slopes, rng.normal(size=len(bp) - 1)))
+    return fns
+
+
+@pytest.mark.parametrize("mids", [[0.5], [0.0, 1.0], [-0.5, 0.5, 1.5]])
+def test_coeffs_on_midpoint_on_a_breakpoint(mids):
+    """Random grids almost never put a midpoint on a breakpoint: there it takes
+    the piece to its right, at the last breakpoint the last piece, as f(x) does."""
+    f = PAF([0.0, 0.5, 1.0], [1.0, 2.0], [3.0, 4.0])
+    mids = np.array(mids)
+    sl, ic = f._coeffs_on(mids)
+    np.testing.assert_array_equal(sl * mids + ic, f(mids))
+    expect = reference_coeffs_on(f, mids)
+    assert_same_bytes(sl, expect[0])
+    assert_same_bytes(ic, expect[1])
+
+
+@given(partial_functions(), partial_functions())
+def test_property_coeffs_on_matches_midpoint_search(f, g):
+    for grid in (merge_grids([f, g]), merge_grids([f])):
+        mids = 0.5 * (grid[:-1] + grid[1:])
+        got = f._coeffs_on(mids)
+        expect = reference_coeffs_on(f, mids)
+        assert_same_bytes(got[0], expect[0])
+        assert_same_bytes(got[1], expect[1])
+
+
+@given(st.lists(partial_functions(), max_size=3), st.integers(0, 300), st.integers(0, 2**32 - 1))
+def test_property_pw_sum_matches_reference(drawn, n, seed):
+    """Up to three drawn summands followed by n from a shared breakpoint pool."""
+    fns = drawn + random_summands(np.random.default_rng(seed), n)
+    assume(fns)
+    assert_same_function(pw_sum(fns), reference_pw_sum(fns))
+
+
+@given(st.lists(partial_functions(), min_size=1, max_size=3), st.booleans(), spans(-1.5, 1.5))
+def test_property_integrate_product_matches_reference(fns, clip, window):
+    lo, hi = window if clip else (None, None)
+    got = integrate_product(fns, lo, hi)
+    assert_same_bytes(got, reference_integrate_product(fns, lo, hi))
+
+
+@given(st.lists(partial_functions(), min_size=1, max_size=4))
+def test_property_integral_of_sum(fns):
+    """∫ pw_sum(fs) = Σ ∫ f, up to the cells of width <= 1e-14 that merging
+    breakpoint twins hands to a neighbouring piece."""
+    expect = sum(f.integral() for f in fns)
+    assert pw_sum(fns).integral() == pytest.approx(expect, abs=1e-11)
+
+
+# Products of small coefficients may underflow; each cell then loses at most
+# one subnormal step, far below this floor.
+UNDERFLOW = 1e-300
+
+
+@given(st.lists(partial_functions(), min_size=2, max_size=3))
+def test_property_product_factor_order(fns):
+    """Reordering the factors moves only rounding: 1e-12 relative to the
+    integral of the product's absolute value."""
+    scale = abs(integrate_product([f.abs() for f in fns]))
+    expect = integrate_product(fns)
+    for perm in itertools.permutations(fns):
+        got = integrate_product(list(perm))
+        assert got == pytest.approx(expect, rel=1e-12, abs=1e-12 * scale + UNDERFLOW)
+
+
+@given(st.lists(partial_functions(), min_size=1, max_size=2), st.floats(-5.0, 5.0))
+def test_property_product_with_constant(fns, c):
+    lo = max(f.lo for f in fns)
+    hi = min(f.hi for f in fns)
+    assume(lo < hi)
+    const = PAF.constant(lo, hi, c)
+    scale = abs(c * integrate_product([f.abs() for f in fns]))
+    expect = c * integrate_product(fns)
+    got = integrate_product(fns + [const])
+    assert got == pytest.approx(expect, rel=1e-12, abs=1e-12 * scale + UNDERFLOW)

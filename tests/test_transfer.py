@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from ergclt.densities import tent_density
@@ -21,6 +21,8 @@ from ergclt.transfer import (
     koopman,
     three_branch_transfer,
 )
+
+from strategies import affine_functions
 
 FOUR_STEP = PAF.step([0.0, 0.25, 0.5, 0.75, 1.0], [1.0, -1.0, -2.0, 2.0])
 
@@ -254,29 +256,6 @@ def test_sandwich_ratio_stable_across_horizons():
 # property tests on random inputs
 # ----------------------------------------------------------------------
 
-PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
-
-
-@st.composite
-def breakpoints(draw, lo, hi):
-    """Sorted grid over [lo, hi].  Some inner points get a twin 1e-15..1e-14
-    above them, the scale at which the algebra merges breakpoints."""
-    inner = draw(st.lists(st.floats(lo, hi, exclude_min=True, exclude_max=True), max_size=6))
-    pts = list(inner)
-    for x in inner:
-        k = draw(st.integers(0, 10))  # 0: no twin
-        if k and x + k * 1e-15 < hi:
-            pts.append(x + k * 1e-15)
-    return np.unique(np.array([lo, hi] + pts))
-
-
-@st.composite
-def affine_functions(draw, lo, hi):
-    bp = draw(breakpoints(lo, hi))
-    coeffs = st.lists(st.floats(-5.0, 5.0), min_size=len(bp) - 1, max_size=len(bp) - 1)
-    return PAF(bp, draw(coeffs), draw(coeffs))
-
-
 TENT_A = st.floats(math.sqrt(2.0), 2.0, exclude_min=True)
 
 
@@ -289,14 +268,12 @@ def maps_and_functions(draw):
     return map_, draw(affine_functions(lo, hi)), draw(affine_functions(lo, hi))
 
 
-@PROPERTY
 @given(maps_and_functions())
 def test_property_mass_conservation(case):
     map_, f, _ = case
     assert frobenius_perron(map_, f).integral() == pytest.approx(f.integral(), abs=1e-12)
 
 
-@PROPERTY
 @given(maps_and_functions())
 def test_property_adjointness(case):
     """∫ P(f) g dx = ∫ f (g o T) dx for the Lebesgue transfer operator."""
@@ -331,7 +308,6 @@ DYADIC_VALUES = st.integers(1, 4).flatmap(
     lambda k: st.lists(st.floats(-3.0, 3.0), min_size=2**k, max_size=2**k))
 
 
-@PROPERTY
 @given(TENT_A, st.integers(0, 2**16), st.sampled_from([1, 2]))
 def test_property_iterates_match_plain_loop_tent(a, seed, step):
     """Centered steps, whose iterates decay and cross small norm ratios."""
@@ -342,7 +318,6 @@ def test_property_iterates_match_plain_loop_tent(a, seed, step):
     assert_iterates_match_plain_loop(nt, nt.weighted(f), step)
 
 
-@PROPERTY
 @given(DYADIC_VALUES, st.booleans(), st.sampled_from([1, 2]))
 def test_property_iterates_match_plain_loop_three_branch(values, centered, step):
     """Steps on 2^k dyadic cells; centered on both invariant halves, their
