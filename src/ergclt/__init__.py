@@ -3,7 +3,6 @@ for piecewise-linear interval maps."""
 
 from .clt import (
     DivergenceError,
-    ErgodicComponent,
     MapSystem,
     Observable,
     VarianceEstimate,
@@ -25,7 +24,6 @@ from .densities import (
     DetectionError,
     UlamOperator,
     detect_periodicity,
-    export_density_csv,
     invariant_density,
     tent_density,
     tent_ulam_density,
@@ -36,11 +34,9 @@ from .maps import (
     Interval,
     PiecewiseLinearMap,
     SupportCycle,
-    TentParams,
     tent_conjugacy,
     tent_fixed_point,
     tent_map,
-    tent_params,
     tent_period,
     tent_support_cycle,
     three_branch_map,

@@ -5,7 +5,8 @@ Outputs are deterministic functions of the resolved configuration: CSV uses
 '.' decimals, '\\n' line endings and a header row; JSON is UTF-8 with
 snake_case keys, sorted, and carries schema_version plus the full resolved
 config.  Files are written atomically (temp file + rename).  Exit codes:
-0 success, 1 criterion failure, 2 usage error, 3 numerical failure.
+0 success, 1 criterion failure, 2 usage error, 3 numerical failure
+(including an exact operation that would exceed the piece budget).
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .densities import (
     ulam_matrix,
 )
 from .maps import SQRT2, squared_param, tent_map, tent_period, tent_support_cycle, three_branch_map
+from .piecewise import PieceBudgetExceeded
 from .simulate import limit_law_check, partial_sum_paths, sample_from_density
 
 SCHEMA_VERSION = 1
@@ -104,8 +106,8 @@ def cmd_density(config: RunConfig) -> int:
     map_ = _build_map(config)
     op = ulam_matrix(map_, config.grid_n)
     density, info = invariant_density(op, return_info=True)
-    period = detect_periodicity(op, 1e-9)
-    vals = density.piece_values("mid")
+    period = detect_periodicity(op)
+    vals = density.piece_values()
     cells = list(zip(density.breakpoints[:-1].tolist(), density.breakpoints[1:].tolist(),
                      vals.tolist()))
     meta = {
@@ -136,20 +138,18 @@ def cmd_variance(config: RunConfig) -> int:
         tb = three_branch_system()
         prof = variance_profile(tb.components, tb.observable, tb.map, tb.transfer,
                                 J=config.truncation_J)
-        dyad = variance_profile_dyadic(tb.observable, tb.map, tb.transfer,
-                                       [[(0.0, 0.5)], [(0.5, 1.0)]], J=config.dyadic_levels)
+        dyad = variance_profile_dyadic(tb.observable, tb.map, tb.transfer, tb.components,
+                                       J=config.dyadic_levels)
         body["variance_profile"] = prof.to_dict()
         body["variance_profile_dyadic"] = dyad.to_dict()
     else:
         a = config.a
         system = tent_system(a, config.grid_n)
-        cycle = tent_support_cycle(a)
-        auto = sigma2_autocovariance(system.observable, system.map, system.transfer, cycle,
-                                     J=config.truncation_J)
+        auto = sigma2_autocovariance(system.observable, system.map, system.transfer,
+                                     system.components[0], J=config.truncation_J)
         body["autocov"] = auto.to_dict()
-        support = [list(p) for p in cycle.as_pairs()]
         dyad = variance_profile_dyadic(system.observable, system.map, system.transfer,
-                                       [[tuple(p) for p in support]], J=config.dyadic_levels)
+                                       system.components, J=config.dyadic_levels)
         body["dyadic_series"] = dyad.to_dict()
         if a > SQRT2:
             body["resolvent"] = sigma2_resolvent(system.observable, system.transfer,
@@ -281,7 +281,7 @@ def main(argv=None) -> int:
             "verify": cmd_verify,
         }[args.command]
         return handler(config)
-    except (ConvergenceError, DetectionError, DivergenceError) as exc:
+    except (ConvergenceError, DetectionError, DivergenceError, PieceBudgetExceeded) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,12 +33,7 @@ from .maps import (
     tent_window_exponent,
     three_branch_map,
 )
-from .piecewise import (
-    PieceBudgetExceeded,
-    PiecewiseAffineFunction,
-    integrate_product,
-    pw_sum,
-)
+from .piecewise import PiecewiseAffineFunction, integrate_product, pw_sum
 from .transfer import NormalizedTransfer, koopman, three_branch_transfer
 
 
@@ -55,11 +51,10 @@ class Observable:
 
     f: PiecewiseAffineFunction
     centered_wrt: str
-    projected: bool = False
 
-    def check_centered(self, nu: PiecewiseAffineFunction, tol: float = 1e-9):
+    def check_centered(self, nu: PiecewiseAffineFunction):
         mean = integrate_product([self.f, nu])
-        if abs(mean) > tol:
+        if abs(mean) > 1e-9:
             raise ValueError(f"observable not centered against {self.centered_wrt}: mean {mean:.3e}")
 
 
@@ -117,24 +112,6 @@ class VarianceProfile:
         }
 
 
-@dataclass(frozen=True)
-class ErgodicComponent:
-    """One ergodic piece: the cycle of supports permuted by the map."""
-
-    cycle: tuple
-
-    @property
-    def period(self) -> int:
-        return len(self.cycle)
-
-    @property
-    def first(self) -> Interval:
-        return self.cycle[0]
-
-    def support_pairs(self):
-        return tuple((iv.lo, iv.hi) for iv in self.cycle)
-
-
 # ----------------------------------------------------------------------
 # tent-map observables
 # ----------------------------------------------------------------------
@@ -165,21 +142,19 @@ def tent_observable(a: float, base_grid: int = 4096) -> Observable:
 
 
 def blocked_observable(h: Observable, map_: PiecewiseLinearMap, r: int) -> Observable:
-    """(1/sqrt(r)) sum of the first r Koopman iterates, exact in the algebra."""
+    """(1/sqrt(r)) sum of the first r Koopman iterates, exact in the algebra.
+
+    Raises PieceBudgetExceeded when an iterate or the sum would exceed
+    MAX_PIECES cells."""
     if r < 1:
         raise ValueError("block length must be >= 1")
     if r == 1:
         return h
     terms = [h.f]
-    try:
-        for _ in range(r - 1):
-            terms.append(koopman(map_, terms[-1]))
-        f = pw_sum(terms) * (1.0 / math.sqrt(r))
-        return Observable(f=f.pruned(), centered_wrt=h.centered_wrt)
-    except PieceBudgetExceeded:
-        projected = [t.project_step(2**14) for t in terms]
-        f = pw_sum(projected) * (1.0 / math.sqrt(r))
-        return Observable(f=f, centered_wrt=h.centered_wrt, projected=True)
+    for _ in range(r - 1):
+        terms.append(koopman(map_, terms[-1]))
+    f = pw_sum(terms) * (1.0 / math.sqrt(r))
+    return Observable(f=f.pruned(), centered_wrt=h.centered_wrt)
 
 
 # ----------------------------------------------------------------------
@@ -196,9 +171,9 @@ def autocovariance_sequence(h: Observable, transfer_action: NormalizedTransfer, 
     v = transfer_action.weighted(h.f)
     if window is not None:
         v = v.windowed_union(window).pruned()
-    terms = [transfer_action.inner(v, h.f)]
+    terms = [integrate_product([v, h.f])]
     for w, _ in itertools.islice(transfer_action.iterates(v, step), max_lag):
-        terms.append(transfer_action.inner(w, h.f))
+        terms.append(integrate_product([w, h.f]))
     exhausted = len(terms) if len(terms) <= max_lag else None
     terms.extend([0.0] * (max_lag + 1 - len(terms)))
     return np.array(terms), exhausted
@@ -290,7 +265,7 @@ def tent_sigma_recursion(a: float, base: VarianceEstimate | float) -> float:
 # non-ergodic variance profiles
 # ----------------------------------------------------------------------
 
-def variance_profile(components: list[ErgodicComponent], h: Observable, map_: PiecewiseLinearMap,
+def variance_profile(components: list[SupportCycle], h: Observable, map_: PiecewiseLinearMap,
                      transfer_action: NormalizedTransfer, J: int = 64) -> VarianceProfile:
     """Piecewise-constant limiting variance: on each ergodic component, the
     normalized autocovariance series of the globally blocked observable."""
@@ -301,8 +276,8 @@ def variance_profile(components: list[ErgodicComponent], h: Observable, map_: Pi
     hr = blocked_observable(h, map_, r)
     out = []
     for comp in components:
-        first = comp.first
-        mass = sum(transfer_action.gstar.integral(iv.lo, iv.hi) for iv in comp.cycle)
+        first = comp.intervals[0]
+        mass = sum(transfer_action.gstar.integral(iv.lo, iv.hi) for iv in comp.intervals)
         if mass <= 0:
             raise ValueError("component carries no invariant mass")
         terms, exhausted = autocovariance_sequence(
@@ -310,13 +285,13 @@ def variance_profile(components: list[ErgodicComponent], h: Observable, map_: Pi
         )
         _geometric_tail(terms, exhausted)  # raises on divergence diagnostics
         value = float(comp.period / mass * (terms[0] + 2.0 * terms[1:].sum()))
-        out.append((comp.support_pairs(), max(value, 0.0)))
+        out.append((comp.as_pairs(), max(value, 0.0)))
     return VarianceProfile(components=out, method="autocov")
 
 
 def variance_profile_dyadic(h: Observable, map_: PiecewiseLinearMap,
                             transfer_action: NormalizedTransfer,
-                            invariant_partition: list[list[tuple[float, float]]],
+                            components: list[SupportCycle],
                             J: int = 16) -> VarianceProfile:
     """Variance profile from the dyadic series over levels n = 2^j.
 
@@ -328,20 +303,21 @@ def variance_profile_dyadic(h: Observable, map_: PiecewiseLinearMap,
     """
     h.check_centered(transfer_action.gstar)
     max_lag = 2 ** (J + 1) - 1
-    ncomp = len(invariant_partition)
+    supports = [comp.as_pairs() for comp in components]
+    ncomp = len(supports)
     cov = np.zeros((ncomp, max_lag + 1))
     masses = np.empty(ncomp)
     base = np.empty(ncomp)
-    for i, supports in enumerate(invariant_partition):
-        masses[i] = sum(transfer_action.gstar.integral(lo, hi) for (lo, hi) in supports)
+    for i, pairs in enumerate(supports):
+        masses[i] = sum(transfer_action.gstar.integral(lo, hi) for (lo, hi) in pairs)
         if masses[i] <= 0:
             raise ValueError("invariant component carries no mass")
         base[i] = sum(integrate_product([h.f, h.f, transfer_action.gstar], lo, hi)
-                      for (lo, hi) in supports) / masses[i]
+                      for (lo, hi) in pairs) / masses[i]
     lags = itertools.islice(transfer_action.iterates(transfer_action.weighted(h.f)), max_lag)
     for s, (v, _) in enumerate(lags, start=1):
-        for i, supports in enumerate(invariant_partition):
-            cov[i, s] = sum(integrate_product([v, h.f], lo, hi) for (lo, hi) in supports) / masses[i]
+        for i, pairs in enumerate(supports):
+            cov[i, s] = sum(integrate_product([v, h.f], lo, hi) for (lo, hi) in pairs) / masses[i]
 
     values = base.copy()
     partials = [[] for _ in range(ncomp)]
@@ -359,10 +335,7 @@ def variance_profile_dyadic(h: Observable, map_: PiecewiseLinearMap,
                 f"dyadic series for component {i} went negative: {values[i]:.3e}",
                 partials[i],
             )
-    comps = [
-        (tuple(tuple(iv) for iv in supports), float(max(values[i], 0.0)))
-        for i, supports in enumerate(invariant_partition)
-    ]
+    comps = [(pairs, float(max(values[i], 0.0))) for i, pairs in enumerate(supports)]
     return VarianceProfile(components=comps, method="dyadic", level_partials=partials)
 
 
@@ -373,52 +346,42 @@ def variance_profile_dyadic(h: Observable, map_: PiecewiseLinearMap,
 @dataclass
 class MapSystem:
     """A map together with its invariant density, transfer action, and
-    ergodic decomposition."""
+    ergodic decomposition: one support cycle per ergodic component."""
 
     name: str
     map: PiecewiseLinearMap
     density: PiecewiseAffineFunction
     transfer: NormalizedTransfer
-    components: list[ErgodicComponent]
+    components: list[SupportCycle]
     observable: Observable
 
 
-_SYSTEMS: dict = {}
-
-
+@lru_cache(maxsize=64)
 def tent_system(a: float, base_grid: int = 4096) -> MapSystem:
-    key = ("tent", a, base_grid)
-    if key not in _SYSTEMS:
-        g = tent_density(a, base_grid)
-        cycle = tent_support_cycle(a)
-        _SYSTEMS[key] = MapSystem(
-            name=f"tent(a={a})",
-            map=tent_map(a),
-            density=g,
-            transfer=NormalizedTransfer(tent_map(a), g),
-            components=[ErgodicComponent(cycle=cycle.intervals)],
-            observable=tent_observable(a, base_grid),
-        )
-    return _SYSTEMS[key]
+    g = tent_density(a, base_grid)
+    return MapSystem(
+        name=f"tent(a={a})",
+        map=tent_map(a),
+        density=g,
+        transfer=NormalizedTransfer(tent_map(a), g),
+        components=[tent_support_cycle(a)],
+        observable=tent_observable(a, base_grid),
+    )
 
 
+@lru_cache(maxsize=1)
 def three_branch_system() -> MapSystem:
-    key = ("three_branch",)
-    if key not in _SYSTEMS:
-        transfer = three_branch_transfer()
-        h = Observable(
-            f=PiecewiseAffineFunction.step([0.0, 0.25, 0.5, 0.75, 1.0], [1.0, -1.0, -2.0, 2.0]),
-            centered_wrt="three_branch",
-        )
-        _SYSTEMS[key] = MapSystem(
-            name="three_branch",
-            map=three_branch_map(),
-            density=transfer.gstar,
-            transfer=transfer,
-            components=[
-                ErgodicComponent(cycle=(Interval(0.0, 0.5),)),
-                ErgodicComponent(cycle=(Interval(0.5, 1.0),)),
-            ],
-            observable=h,
-        )
-    return _SYSTEMS[key]
+    transfer = three_branch_transfer()
+    h = Observable(
+        f=PiecewiseAffineFunction.step([0.0, 0.25, 0.5, 0.75, 1.0], [1.0, -1.0, -2.0, 2.0]),
+        centered_wrt="three_branch",
+    )
+    return MapSystem(
+        name="three_branch",
+        map=three_branch_map(),
+        density=transfer.gstar,
+        transfer=transfer,
+        components=[SupportCycle(intervals=(Interval(0.0, 0.5),), period=1),
+                    SupportCycle(intervals=(Interval(0.5, 1.0),), period=1)],
+        observable=h,
+    )

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -123,38 +122,38 @@ def ulam_matrix(map_: PiecewiseLinearMap, n: int) -> UlamOperator:
 
 
 _CESARO_WINDOWS = (1, 2, 4, 8, 16, 32, 64)
+_POWER_MAX_ITER = 100_000
+
+# detect_periodicity: a cell is in the support when its mass exceeds
+# _SUPPORT_EPS; supports are compared over _DETECT_WINDOW trailing iterates,
+# within _DETECT_MAX_ITER iterations in all.
+_SUPPORT_EPS = 1e-9
+_DETECT_WINDOW = 128
+_DETECT_MAX_ITER = 65_536
 
 
-def invariant_density(
-    op: UlamOperator,
-    *,
-    period: int | None = None,
-    tol: float = 1e-10,
-    max_iter: int = 100_000,
-    return_info: bool = False,
-):
+def invariant_density(op: UlamOperator, *, tol: float = 1e-10, return_info: bool = False):
     """Stationary density of the Ulam chain by Cesaro-averaged power iteration.
 
     Plain power iteration oscillates when the chain has cyclic components, so
     the fixed vector is extracted by averaging over a window of consecutive
-    iterates; windows 1, 2, 4, ... are tried unless the period is given.
+    iterates; windows 1, 2, 4, ..., 64 are tried.
     """
     n = op.grid_n
-    windows = (period,) if period else _CESARO_WINDOWS
-    buf_len = max(windows)
+    buf_len = max(_CESARO_WINDOWS)
     d = np.full(n, 1.0 / n)
     buf = deque([d], maxlen=buf_len)
     best_res = math.inf
     best = d
     check_every = buf_len
     steps = 0
-    while steps < max_iter:
+    while steps < _POWER_MAX_ITER:
         for _ in range(check_every):
             d = op.apply_to_masses(d)
             steps += 1
             buf.append(d)
         recent = list(buf)
-        for wdw in windows:
+        for wdw in _CESARO_WINDOWS:
             if len(recent) < wdw:
                 continue
             avg = np.mean(recent[-wdw:], axis=0)
@@ -176,22 +175,14 @@ def invariant_density(
     return fn
 
 
-def detect_periodicity(
-    op: UlamOperator,
-    eps: float = 1e-9,
-    *,
-    max_iter: int = 65_536,
-    window: int = 128,
-) -> int:
+def detect_periodicity(op: UlamOperator) -> int:
     """Cycle length of the support of iterated densities.
 
     Seeds a unit mass in the cell where the invariant density is largest (a
     cell interior to one cyclic component), iterates, and finds the smallest
     r with support(n + r) == support(n) over a trailing window of stabilized
-    iterates, where the support is the set of cells with mass > eps.
+    iterates, where the support is the set of cells with mass > _SUPPORT_EPS.
     """
-    if eps <= 0:
-        raise ValueError("support threshold must be positive")
     # Loose tolerance: only the argmax cell is needed, to seed inside a component.
     try:
         dinv = invariant_density(op, tol=1e-6)
@@ -202,21 +193,21 @@ def detect_periodicity(
     d[seed] = 1.0
     burn = 512
     steps = 0
-    while steps < max_iter:
-        target = min(burn, max_iter - steps - window)
+    while steps < _DETECT_MAX_ITER:
+        target = min(burn, _DETECT_MAX_ITER - steps - _DETECT_WINDOW)
         for _ in range(max(target, 0)):
             d = op.apply_to_masses(d)
             steps += 1
         supports = []
-        for _ in range(window):
+        for _ in range(_DETECT_WINDOW):
             d = op.apply_to_masses(d)
             steps += 1
-            supports.append(frozenset(np.flatnonzero(d > eps).tolist()))
+            supports.append(frozenset(np.flatnonzero(d > _SUPPORT_EPS).tolist()))
         r = _support_cycle_length(supports)
         if r is not None:
             return r
         burn *= 2
-    raise DetectionError(f"no support cycle within {max_iter} iterations")
+    raise DetectionError(f"no support cycle within {_DETECT_MAX_ITER} iterations")
 
 
 def _support_cycle_length(supports) -> int | None:
@@ -239,27 +230,26 @@ def tent_ulam_density(a: float, grid_n: int = 4096) -> PiecewiseAffineFunction:
     fn = invariant_density(op)
     core = _tent_core_interval(a)
     if core.lo > -1.0 + 1e-12 or core.hi < 1.0 - 1e-12:
-        fn = fn.windowed(core.lo, core.hi)
+        fn = fn.windowed_union([(core.lo, core.hi)])
         mass = fn.integral()
         fn = fn * (1.0 / mass)
     return fn.pruned()
 
 
 @lru_cache(maxsize=64)
-def tent_density(a: float, base_grid: int = 4096, _depth: int = 0) -> PiecewiseAffineFunction:
+def tent_density(a: float, base_grid: int = 4096) -> PiecewiseAffineFunction:
     """Invariant density of the tent map.
 
     Above sqrt(2) this is the (windowed) Ulam density.  Below, the density is
     assembled exactly from the squared-parameter density via the two inverse
     conjugacy branches: scale by a/(2 x*) on the right invariant interval and
-    by 1/(2 x*) on the central one.
+    by 1/(2 x*) on the central one.  The recursion ends: a > 1 + 1e-6 passes
+    sqrt(2) after at most 19 squarings.
     """
     _check_tent_param(a)
-    if _depth > 20:
-        raise RecursionError("tent density recursion exceeded depth 20")
     if a > SQRT2:
         return tent_ulam_density(a, base_grid)
-    g_sq = tent_density(squared_param(a), base_grid, _depth + 1)
+    g_sq = tent_density(squared_param(a), base_grid)
     xs = tent_fixed_point(a)
     parts = []
     for i in (0, 1):
@@ -274,13 +264,3 @@ def tent_density(a: float, base_grid: int = 4096, _depth: int = 0) -> PiecewiseA
     ic = np.concatenate((central.intercepts, right.intercepts))
     fn = PiecewiseAffineFunction(bp, sl, ic).embed(-1.0, 1.0)
     return fn.pruned()
-
-
-def export_density_csv(fn: PiecewiseAffineFunction, path: str):
-    """Write a step-density table with columns cell_lo, cell_hi, value."""
-    vals = fn.piece_values("mid")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["cell_lo", "cell_hi", "value"])
-        for lo, hi, v in zip(fn.breakpoints[:-1], fn.breakpoints[1:], vals):
-            writer.writerow([repr(float(lo)), repr(float(hi)), repr(float(v))])

@@ -177,30 +177,6 @@ def tent_window_exponent(a: float) -> int:
     return int(round(math.log2(tent_period(a))))
 
 
-@dataclass(frozen=True)
-class TentParams:
-    """Resolved tent-map parameters: slope a, fixed point, window exponent."""
-
-    a: float
-    xstar: float
-    m: int
-    r: int
-
-    def __post_init__(self):
-        tmap = tent_map(self.a)
-        if abs(tmap(self.xstar) - self.xstar) > 1e-12:
-            raise ValueError("xstar is not fixed by the tent map")
-        if self.r != 2**self.m:
-            raise ValueError("cycle length must be 2^m")
-        if not (2.0 ** (1.0 / 2.0 ** (self.m + 1)) < self.a <= 2.0 ** (1.0 / 2.0**self.m)):
-            raise ValueError(f"a={self.a} is outside the window for m={self.m}")
-
-
-def tent_params(a: float) -> TentParams:
-    m = tent_window_exponent(a)
-    return TentParams(a=a, xstar=tent_fixed_point(a), m=m, r=2**m)
-
-
 def tent_conjugacy(a: float, i: int) -> tuple[AffineMap, AffineMap]:
     """The pair (phi, phi^{-1}) conjugating the second-iterate tent to the
     slope-a^2 tent, on the right (i=0) or central (i=1) invariant interval.
@@ -228,7 +204,8 @@ def tent_invariant_interval(a: float, i: int) -> Interval:
 
 @dataclass(frozen=True)
 class SupportCycle:
-    """The 2^m disjoint intervals cyclically permuted by the tent map."""
+    """An ergodic component: disjoint intervals the map permutes cyclically,
+    in cycle order (for the tent map, the 2^m intervals of its support)."""
 
     intervals: tuple
     period: int
@@ -241,11 +218,9 @@ class SupportCycle:
                 if a.intersects(b, tol=1e-12):
                     raise ValueError("cycle intervals overlap")
 
-    def union_span(self) -> Interval:
-        return Interval(min(iv.lo for iv in self.intervals), max(iv.hi for iv in self.intervals))
-
-    def as_pairs(self):
-        return [(iv.lo, iv.hi) for iv in self.intervals]
+    def as_pairs(self) -> tuple:
+        """The intervals as (lo, hi) float pairs, in cycle order."""
+        return tuple((iv.lo, iv.hi) for iv in self.intervals)
 
 
 def _tent_core_interval(a: float) -> Interval:

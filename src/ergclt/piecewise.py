@@ -16,13 +16,26 @@ import numpy as np
 # Breakpoints closer than this (relative to the span scale) are merged.
 _BP_EPS = 1e-14
 
-# Soft bound on representation size; operations that would exceed it raise
-# so callers can fall back to a grid projection.
+# `pruned()` merges adjacent cells whose slopes and intercepts agree to
+# within this absolute tolerance.
+PRUNE_ABS = 1e-13
+
+# Step weights at or below this value count as zero: the quotient and the
+# reciprocal are set to 0 there.
+DENSITY_FLOOR = 1e-12
+
+# Bound on representation size; an operation that would exceed it raises
+# PieceBudgetExceeded instead of allocating the result.
 MAX_PIECES = 10**6
 
 
 class PieceBudgetExceeded(RuntimeError):
     """Raised when an exact operation would exceed MAX_PIECES cells."""
+
+
+def _check_budget(pieces: int):
+    if pieces > MAX_PIECES:
+        raise PieceBudgetExceeded(f"{pieces} pieces exceed the budget of {MAX_PIECES}")
 
 
 def _dedupe_breakpoints(bp: np.ndarray) -> np.ndarray:
@@ -92,8 +105,8 @@ class PiecewiseAffineFunction:
     def num_pieces(self) -> int:
         return len(self.slopes)
 
-    def is_step(self, tol: float = 0.0) -> bool:
-        return bool(np.all(np.abs(self.slopes) <= tol))
+    def is_step(self) -> bool:
+        return bool(np.all(np.abs(self.slopes) <= 1e-15))
 
     def cell_index(self, x: np.ndarray) -> np.ndarray:
         """Index of the cell containing each x (x must lie in the span)."""
@@ -109,16 +122,10 @@ class PiecewiseAffineFunction:
         out[(xv < self.breakpoints[0]) | (xv > self.breakpoints[-1])] = 0.0
         return float(out[0]) if scalar else out
 
-    def piece_values(self, side: str = "mid") -> np.ndarray:
-        """Values at cell midpoints (or 'left'/'right' edges)."""
+    def piece_values(self) -> np.ndarray:
+        """Values at cell midpoints."""
         bp = self.breakpoints
-        if side == "mid":
-            x = 0.5 * (bp[:-1] + bp[1:])
-        elif side == "left":
-            x = bp[:-1]
-        else:
-            x = bp[1:]
-        return self.slopes * x + self.intercepts
+        return self.slopes * (0.5 * (bp[:-1] + bp[1:])) + self.intercepts
 
     def sup_norm(self) -> float:
         """max |f| over the span (attained at cell edges for affine pieces)."""
@@ -175,8 +182,8 @@ class PiecewiseAffineFunction:
         w = weight._coeffs_on(mids)[1]  # slopes are zero for a step function
         return PiecewiseAffineFunction(grid, sl * w, ic * w, validate=False)
 
-    def divide_by_step(self, weight: "PiecewiseAffineFunction", floor: float = 1e-12):
-        """Exact quotient by a step function; cells with weight <= floor map to 0.
+    def divide_by_step(self, weight: "PiecewiseAffineFunction"):
+        """Exact quotient by a step function; cells with weight <= DENSITY_FLOOR map to 0.
 
         Returns (quotient, masked_cell_count).
         """
@@ -184,17 +191,17 @@ class PiecewiseAffineFunction:
         mids = 0.5 * (grid[:-1] + grid[1:])
         sl, ic = self._coeffs_on(mids)
         w = weight._coeffs_on(mids)[1]
-        ok = w > floor
+        ok = w > DENSITY_FLOOR
         inv = np.where(ok, 1.0 / np.where(ok, w, 1.0), 0.0)
         masked = int(np.count_nonzero(~ok & ((sl != 0.0) | (ic != 0.0))))
         return PiecewiseAffineFunction(grid, sl * inv, ic * inv, validate=False), masked
 
-    def reciprocal_step(self, floor: float = 1e-12) -> "PiecewiseAffineFunction":
-        """1/f for a step function f, zero where f <= floor."""
-        if not self.is_step(1e-15):
+    def reciprocal_step(self) -> "PiecewiseAffineFunction":
+        """1/f for a step function f, zero where f <= DENSITY_FLOOR."""
+        if not self.is_step():
             raise ValueError("reciprocal_step requires a step function")
         v = self.intercepts
-        ok = v > floor
+        ok = v > DENSITY_FLOOR
         return PiecewiseAffineFunction(
             self.breakpoints, np.zeros_like(v), np.where(ok, 1.0 / np.where(ok, v, 1.0), 0.0), validate=False
         )
@@ -229,25 +236,18 @@ class PiecewiseAffineFunction:
             parts.append(part)
             grids.append(part.breakpoints)
         grid = _dedupe_breakpoints(np.concatenate(grids))
-        if len(grid) - 1 > MAX_PIECES:
-            raise PieceBudgetExceeded(f"{len(grid) - 1} pieces")
+        _check_budget(len(grid) - 1)
         mids = 0.5 * (grid[:-1] + grid[1:])
         sl = np.zeros(len(mids))
         ic = np.zeros(len(mids))
         for part in parts:
-            inside = (mids > part.lo) & (mids < part.hi)
-            if not np.any(inside):
-                continue
-            idx = part.cell_index(mids[inside])
-            sl[inside] = part.slopes[idx]
-            ic[inside] = part.intercepts[idx]
+            cells, counts = part._cells_covered(mids)
+            sl[cells] = np.repeat(part.slopes, counts)
+            ic[cells] = np.repeat(part.intercepts, counts)
         return PiecewiseAffineFunction(grid, sl, ic, validate=False)
 
-    def windowed(self, lo: float, hi: float) -> "PiecewiseAffineFunction":
-        """Multiply by the indicator of [lo, hi]; the span is unchanged."""
-        return self.windowed_union([(lo, hi)])
-
     def windowed_union(self, intervals) -> "PiecewiseAffineFunction":
+        """Multiply by the indicator of a union of intervals; the span is unchanged."""
         pts = [p for (a, b) in intervals for p in (a, b)]
         grid = _dedupe_breakpoints(np.unique(np.concatenate([self.breakpoints, np.array(pts, dtype=float)])))
         grid = grid[(grid >= self.lo) & (grid <= self.hi)]
@@ -276,24 +276,16 @@ class PiecewiseAffineFunction:
             ic = np.concatenate((ic, [0.0]))
         return PiecewiseAffineFunction(bp, sl, ic, validate=False)
 
-    def pruned(self, tol: float = 1e-13) -> "PiecewiseAffineFunction":
-        """Merge adjacent cells whose affine parameters agree within tol."""
+    def pruned(self) -> "PiecewiseAffineFunction":
+        """Merge adjacent cells whose affine parameters agree within PRUNE_ABS."""
         if self.num_pieces == 1:
             return self
-        same = (np.abs(np.diff(self.slopes)) <= tol) & (np.abs(np.diff(self.intercepts)) <= tol)
+        same = (np.abs(np.diff(self.slopes)) <= PRUNE_ABS) & (np.abs(np.diff(self.intercepts)) <= PRUNE_ABS)
         if not np.any(same):
             return self
         keep = np.concatenate(([True], ~same))
         bp = np.concatenate((self.breakpoints[:-1][keep], [self.breakpoints[-1]]))
         return PiecewiseAffineFunction(bp, self.slopes[keep], self.intercepts[keep], validate=False)
-
-    def project_step(self, n: int) -> "PiecewiseAffineFunction":
-        """Cell-average projection onto a uniform n-cell grid over the span."""
-        grid = np.linspace(self.lo, self.hi, n + 1)
-        vals = np.empty(n)
-        for i in range(n):
-            vals[i] = integrate_product([self], grid[i], grid[i + 1]) / (grid[i + 1] - grid[i])
-        return PiecewiseAffineFunction.step(grid, vals)
 
     # ------------------------------------------------------------------
     # integration
@@ -344,8 +336,7 @@ def pw_sum(fns) -> PiecewiseAffineFunction:
     bits as adding zero to a sum that starts at +0.0.
     """
     grid = merge_grids(fns)
-    if len(grid) - 1 > MAX_PIECES:
-        raise PieceBudgetExceeded(f"{len(grid) - 1} pieces")
+    _check_budget(len(grid) - 1)
     mids = 0.5 * (grid[:-1] + grid[1:])
     sl = np.zeros(len(mids))
     ic = np.zeros(len(mids))

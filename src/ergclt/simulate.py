@@ -18,7 +18,6 @@ orbits from stationary initial points.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -296,10 +295,10 @@ def mixture_normal_cdf(components, t: float, x):
     return out
 
 
-def limit_law_check(sample: CltSample, profile: VarianceProfile, init_points,
-                    weights=None) -> list[GofReport]:
+def limit_law_check(sample: CltSample, profile: VarianceProfile, init_points) -> list[GofReport]:
     """KS reports of the marginals against the predicted mixture law, plus
-    per-component reports conditioning each path on its initial component."""
+    per-component reports conditioning each path on its initial component.
+    Each component's mixture weight is the share of initial points in it."""
     inits = np.asarray(init_points, dtype=float)
     if len(inits) != sample.paths.shape[0]:
         raise ValueError("one initial point per path is required")
@@ -315,15 +314,13 @@ def limit_law_check(sample: CltSample, profile: VarianceProfile, init_points,
         assigned |= m
     if not np.all(assigned):
         raise ValueError("some initial points lie in no component")
-    if weights is None:
-        weights = [float(m.mean()) for m in masks]
+    mixture = profile.mixture([float(m.mean()) for m in masks])
 
     reports = []
     for col, t in enumerate(sample.t_grid):
         if t <= 0:
             continue
         vals = sample.paths[:, col]
-        mixture = [(w, v) for w, (_, v) in zip(weights, profile.components)]
         if all(v * t == 0 for _, v in mixture):
             reports.append(GofReport(0.0, len(vals), {"mixture": mixture}, float(t),
                                      note="degenerate limit: KS skipped"))
@@ -375,16 +372,13 @@ class MaximalInequalityReport:
             "holds": self.holds, "trials": self.trials,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 def dyadic_block_norms(f: Observable, transfer_action: NormalizedTransfer, q: int) -> list[float]:
     """L2(nu) norms of sum_{k=1..2^j} P_T^k f for j = 0..q-1, exact quadrature.
 
     Iterates are collected between dyadic marks and merged in one pass there,
     which is much cheaper than a running per-step sum."""
-    ginv = transfer_action.gstar.reciprocal_step(transfer_action.floor)
+    ginv = transfer_action.gstar.reciprocal_step()
     lags = transfer_action.iterates(transfer_action.weighted(f.f))
     running = None
     norms = []
@@ -404,16 +398,16 @@ def dyadic_block_norms(f: Observable, transfer_action: NormalizedTransfer, q: in
 def maximal_inequality_sweep(map_: PiecewiseLinearMap, f: Observable,
                              transfer_action: NormalizedTransfer,
                              nu: PiecewiseAffineFunction, ns, trials: int,
-                             seed: int, atol: float = 1e-10) -> list[MaximalInequalityReport]:
+                             seed: int) -> list[MaximalInequalityReport]:
     """Empirically check ||max_k |S_k|||_2 against the dyadic transfer bound
     at each horizon n in ns.
 
     The left side is estimated from `trials` stationary orbits; the right
     side is computed exactly in the piecewise algebra.  All horizons share
     one transfer-iterate pass (the block norms for every q are prefixes of
-    one iterate sequence) and one orbit batch of length max(ns).  `atol`
-    absorbs floating-point dust when f vanishes a.e. on the invariant
-    support and both sides are rounding noise.
+    one iterate sequence) and one orbit batch of length max(ns).  An
+    absolute slack of 1e-10 absorbs floating-point dust when f vanishes a.e.
+    on the invariant support and both sides are rounding noise.
     """
     ns = sorted(int(n) for n in ns)
     if ns[0] < 1:
@@ -449,6 +443,6 @@ def maximal_inequality_sweep(map_: PiecewiseLinearMap, f: Observable,
         reports.append(MaximalInequalityReport(
             n=n, q=q, lhs=lhs, lhs_stderr=lhs_stderr, rhs=rhs,
             martingale_norm=mart, delta_q=delta_q, margin_sigmas=margin,
-            holds=bool(lhs <= rhs + 3.0 * lhs_stderr + atol), trials=trials,
+            holds=bool(lhs <= rhs + 3.0 * lhs_stderr + 1e-10), trials=trials,
         ))
     return reports

@@ -11,7 +11,6 @@ defers the division by g to the final quadrature.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -53,21 +52,20 @@ class NormalizedTransfer:
 
     The density must be a step function (true for Ulam densities and for the
     tent-density recursion), which keeps every action exact.  `masked_cells`
-    counts quotient cells suppressed because g fell below the floor, summed
-    over every call on this instance; it is a diagnostic only.
+    counts quotient cells suppressed because g fell to DENSITY_FLOOR or below,
+    summed over every call on this instance; it is a diagnostic only.
     """
 
-    def __init__(self, map_: PiecewiseLinearMap, gstar: PiecewiseAffineFunction, floor: float = 1e-12):
-        if not gstar.is_step(1e-15):
+    def __init__(self, map_: PiecewiseLinearMap, gstar: PiecewiseAffineFunction):
+        if not gstar.is_step():
             raise ValueError("the invariant density must be a step function")
         self.map = map_
         self.gstar = gstar
-        self.floor = floor
         self.masked_cells = 0
 
     def __call__(self, f: PiecewiseAffineFunction) -> PiecewiseAffineFunction:
         pushed = frobenius_perron(self.map, f.scale_by_step(self.gstar))
-        out, masked = pushed.divide_by_step(self.gstar, self.floor)
+        out, masked = pushed.divide_by_step(self.gstar)
         self.masked_cells += masked
         return out.pruned()
 
@@ -98,11 +96,6 @@ class NormalizedTransfer:
                 return
             yield v, l1
 
-    def inner(self, v: PiecewiseAffineFunction, f: PiecewiseAffineFunction,
-              lo: float | None = None, hi: float | None = None) -> float:
-        """∫ (v/g) f dν = ∫ v f dx for a weighted representative v."""
-        return integrate_product([v, f], lo, hi)
-
 
 def three_branch_transfer() -> NormalizedTransfer:
     g = PiecewiseAffineFunction.constant(0.0, 1.0, 1.0)
@@ -128,20 +121,6 @@ class ConditionReport:
     iterate_norm1: list[float] = field(default_factory=list)
     interp_bound: list[float] = field(default_factory=list)
 
-    def to_json(self, **extra) -> str:
-        payload = {
-            "K": self.K,
-            "V": self.V,
-            "series_partial": self.series_partial,
-            "dyadic_partial": self.dyadic_partial,
-            "decay_fit": {"theta": self.theta, "residual": self.theta_residual},
-            "iterate_norm2": self.iterate_norm2,
-            "iterate_norm1": self.iterate_norm1,
-            "interp_bound": self.interp_bound,
-        }
-        payload.update(extra)
-        return json.dumps(payload, sort_keys=True)
-
 
 def _fit_decay_rate(norms: np.ndarray) -> tuple[float, float]:
     """Least-squares geometric rate of a norm sequence, fitted on the tail
@@ -162,20 +141,20 @@ def _fit_decay_rate(norms: np.ndarray) -> tuple[float, float]:
 
 
 def condition_report(h: PiecewiseAffineFunction, transfer_action: NormalizedTransfer,
-                     nu: PiecewiseAffineFunction | None = None, K: int = 64) -> ConditionReport:
+                     K: int = 64) -> ConditionReport:
     """Norms V_n of partial sums of transfer iterates plus decay diagnostics.
 
-    Requires h centered under nu (the invariant measure of the action) to
-    1e-9.  Norms are exact piecewise quadratures; once an iterate dies the
+    Requires h centered under the invariant measure of the action to 1e-9.
+    Norms are exact piecewise quadratures; once an iterate dies the
     remaining V_n are constant and filled without iterating.
     """
     if K < 8:
         raise ValueError("need K >= 8")
-    g = transfer_action.gstar if nu is None else nu
+    g = transfer_action.gstar
     mean = integrate_product([h, g])
     if abs(mean) > 1e-9:
         raise ValueError(f"observable is not centered: ∫ h dν = {mean:.3e}")
-    ginv = g.reciprocal_step(transfer_action.floor)
+    ginv = g.reciprocal_step()
     sup_h = h.sup_norm()
 
     def norm2(f):

@@ -50,3 +50,15 @@ def partial_functions(draw, lo=-1.0, hi=1.0):
     """A random piecewise-affine function on a random sub-interval of [lo, hi]."""
     a, b = draw(spans(lo, hi))
     return draw(affine_functions(a, b))
+
+
+@st.composite
+def functions_through(draw, points, lo=-1.0, hi=1.0):
+    """A random piecewise-affine function on a sub-interval of [lo, hi] whose
+    grid also holds some of `points` (e.g. branch edges and their images),
+    each possibly moved 1e-15..1e-14 up."""
+    f = draw(partial_functions(lo, hi))
+    extra = [x + draw(st.integers(0, 10)) * 1e-15 for x in draw(st.lists(st.sampled_from(points), max_size=4))]
+    bp = np.unique(np.concatenate([f.breakpoints, [x for x in extra if f.lo < x < f.hi]]))
+    coeffs = st.lists(st.floats(-5.0, 5.0), min_size=len(bp) - 1, max_size=len(bp) - 1)
+    return PAF(bp, draw(coeffs), draw(coeffs))

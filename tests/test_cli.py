@@ -3,9 +3,11 @@
 import hashlib
 import json
 import math
+import re
 
 import pytest
 
+from ergclt import piecewise
 from ergclt.cli import RunConfig, main
 
 SQRT2 = math.sqrt(2.0)
@@ -21,6 +23,7 @@ def test_density_tent2(tmp_path):
     assert main(["density", "--map", "tent", "--a", "2", "--grid", "256", "--out", out]) == 0
     lines = (tmp_path / "d.csv").read_text().splitlines()
     assert lines[0] == "cell_lo,cell_hi,value"
+    assert float(lines[1].split(",")[0]) == -1.0
     vals = [float(row.split(",")[2]) for row in lines[1:]]
     assert all(v == 0.5 for v in vals)
     meta = read_json(out + ".json")
@@ -109,6 +112,16 @@ def test_usage_errors():
     assert main(["bogus"]) == 2
 
 
+def test_piece_budget_exits_3(tmp_path, monkeypatch, capsys):
+    """An exact operation over the piece budget is a numerical failure: exit
+    3, and the message gives the piece count and the budget."""
+    monkeypatch.setattr(piecewise, "MAX_PIECES", 10_000)
+    assert main(["variance", "--map", "tent", "--a", "1.02", "--out", str(tmp_path / "v")]) == 3
+    err = capsys.readouterr().err
+    assert re.search(r"^numerical failure: \d+ pieces exceed the budget of 10000$", err.strip())
+    assert not (tmp_path / "v.json").exists()
+
+
 def test_config_file_precedence(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("map_spec=tent\na=2.0\ngrid_n=128\nseed=5\n")
@@ -182,6 +195,16 @@ PINNED_RUNS = {
     "variance_three_branch": (
         ["--config", "levels.cfg", "variance", "--map", "three-branch"],
         {"run.json": "242bd4163c69a29e60e8a0a04af0545073f664e568a38383459093f12cb62bd7"},
+    ),
+    # recorded before the density writer and the Ulam solver lost their options
+    "density_tent_1.3": (
+        ["density", "--map", "tent", "--a", "1.3", "--grid", "1024"],
+        {"run.csv": "06dcbdeb145c3d3a2fc4ee12a397758535f8e253e66449368441d358bde9e245",
+         "run.json": "3a456fab7a52a589f9e86e4cab905f6d1390e2b0fdcc8435a558b4f86c944fc5"},
+    ),
+    "density_tent_1.3_json": (
+        ["density", "--map", "tent", "--a", "1.3", "--grid", "1024", "--format", "json"],
+        {"run.json": "020f5a26c81bbdfab6b2fadc8d25c21195c6889a75dc14ad13ec0c695ea70a58"},
     ),
     "simulate_three_branch": (
         ["simulate", "--map", "three-branch", "--paths", "200", "--steps", "256", "--seed", "7"],

@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from ergclt import piecewise
 from ergclt.clt import (
     DivergenceError,
-    ErgodicComponent,
     Observable,
     autocovariance_sequence,
     blocked_observable,
@@ -25,6 +25,7 @@ from ergclt.clt import (
 )
 from ergclt.densities import tent_ulam_density
 from ergclt.maps import (
+    SupportCycle,
     squared_param,
     tent_conjugacy,
     tent_fixed_point,
@@ -32,7 +33,7 @@ from ergclt.maps import (
     tent_window_exponent,
 )
 from ergclt.piecewise import PiecewiseAffineFunction as PAF
-from ergclt.piecewise import integrate_product
+from ergclt.piecewise import PieceBudgetExceeded, integrate_product
 from ergclt.simulate import sample_from_density
 from ergclt.transfer import koopman
 
@@ -99,7 +100,13 @@ def test_blocked_observable_identity_and_centering():
     assert blocked_observable(h, sys15.map, 1) is h
     h4 = blocked_observable(h, sys15.map, 4)
     assert abs(integrate_product([h4.f, sys15.density])) <= 1e-9
-    assert not h4.projected
+
+
+def test_blocked_observable_over_piece_budget_raises(monkeypatch):
+    monkeypatch.setattr(piecewise, "MAX_PIECES", 10_000)
+    sys_a = tent_system(1.02)
+    with pytest.raises(PieceBudgetExceeded, match="pieces exceed the budget of 10000"):
+        blocked_observable(sys_a.observable, sys_a.map, sys_a.components[0].period)
 
 
 @pytest.mark.parametrize("a", [1.2, 1.3, 1.4])
@@ -212,10 +219,9 @@ def test_scale_equivariance(c):
     assert sigma2_autocovariance(hc, sys15.map, sys15.transfer, cycle).sigma2 == pytest.approx(
         c * c * base_a, abs=1e-10)
     tb = three_branch_system()
-    parts = [[(0.0, 0.5)], [(0.5, 1.0)]]
-    base_d = variance_profile_dyadic(tb.observable, tb.map, tb.transfer, parts, J=6)
+    base_d = variance_profile_dyadic(tb.observable, tb.map, tb.transfer, tb.components, J=6)
     hc3 = Observable(f=tb.observable.f * c, centered_wrt="three_branch")
-    scaled = variance_profile_dyadic(hc3, tb.map, tb.transfer, parts, J=6)
+    scaled = variance_profile_dyadic(hc3, tb.map, tb.transfer, tb.components, J=6)
     for (_, v0), (_, v1) in zip(base_d.components, scaled.components):
         assert v1 == pytest.approx(c * c * v0, abs=1e-10)
 
@@ -273,8 +279,7 @@ def test_profile_three_branch_exact():
 def test_profile_single_component_reduces_to_sigma2():
     sys15 = tent_system(1.5)
     cycle = tent_support_cycle(1.5)
-    comp = ErgodicComponent(cycle=cycle.intervals)
-    prof = variance_profile([comp], sys15.observable, sys15.map, sys15.transfer, J=64)
+    prof = variance_profile([cycle], sys15.observable, sys15.map, sys15.transfer, J=64)
     auto = sigma2_autocovariance(sys15.observable, sys15.map, sys15.transfer, cycle, J=64)
     assert prof.components[0][1] == pytest.approx(auto.sigma2, abs=1e-10)
 
@@ -288,8 +293,7 @@ def test_profile_zero_observable():
 
 def test_dyadic_profile_three_branch_exact():
     tb = three_branch_system()
-    prof = variance_profile_dyadic(tb.observable, tb.map, tb.transfer,
-                                   [[(0.0, 0.5)], [(0.5, 1.0)]], J=10)
+    prof = variance_profile_dyadic(tb.observable, tb.map, tb.transfer, tb.components, J=10)
     vals = [v for _, v in prof.components]
     assert vals == pytest.approx([1.0, 4.0], abs=1e-12)
     # all cross terms vanish, so every level partial equals the base value
@@ -299,8 +303,7 @@ def test_dyadic_profile_three_branch_exact():
 
 def test_dyadic_profile_tent2_constant_third():
     sys2 = tent_system(2.0)
-    prof = variance_profile_dyadic(sys2.observable, sys2.map, sys2.transfer,
-                                   [[(-1.0, 1.0)]], J=10)
+    prof = variance_profile_dyadic(sys2.observable, sys2.map, sys2.transfer, sys2.components, J=10)
     assert prof.components[0][1] == pytest.approx(1.0 / 3.0, abs=1e-12)
 
 
@@ -310,7 +313,7 @@ def test_dyadic_profile_converges_to_resolvent():
     res = sigma2_resolvent(system.observable, system.transfer)
     span = tent_support_cycle(a).intervals[0]
     prof = variance_profile_dyadic(system.observable, system.map, system.transfer,
-                                   [[(span.lo, span.hi)]], J=12)
+                                   [SupportCycle(intervals=(span,), period=1)], J=12)
     partials = prof.level_partials[0]
     # levels are Cauchy: increments shrink roughly geometrically (ratio ~1/2)
     incs = [abs(b - a_) for a_, b in zip(partials, partials[1:])]
@@ -364,6 +367,5 @@ def test_profile_method_strings():
     tb = three_branch_system()
     prof = variance_profile(tb.components, tb.observable, tb.map, tb.transfer, J=4)
     assert prof.to_dict()["method"] == "autocov"
-    dyad = variance_profile_dyadic(tb.observable, tb.map, tb.transfer,
-                                   [[(0.0, 0.5)], [(0.5, 1.0)]], J=4)
+    dyad = variance_profile_dyadic(tb.observable, tb.map, tb.transfer, tb.components, J=4)
     assert dyad.to_dict()["method"] == "dyadic"

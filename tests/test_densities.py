@@ -6,7 +6,6 @@ import pytest
 
 from ergclt.densities import (
     detect_periodicity,
-    export_density_csv,
     invariant_density,
     tent_density,
     tent_ulam_density,
@@ -83,13 +82,7 @@ def test_invariant_density_vanishes_outside_core():
 @pytest.mark.parametrize("a", [2.0, 1.5, 1.3, 1.25, 1.1])
 def test_detect_periodicity_grid4096(a):
     op = ulam_matrix(tent_map(a), 4096)
-    assert detect_periodicity(op, 1e-9) == tent_period(a)
-
-
-def test_detect_periodicity_rejects_bad_eps():
-    op = ulam_matrix(tent_map(2.0), 64)
-    with pytest.raises(ValueError):
-        detect_periodicity(op, 0.0)
+    assert detect_periodicity(op) == tent_period(a)
 
 
 @pytest.mark.parametrize("a", [2.0, 1.8, 1.5, 1.3, 1.2, 1.1])
@@ -125,16 +118,6 @@ def test_cycle_masses_from_raw_ulam():
     g = invariant_density(ulam_matrix(tent_map(1.3), 4096))
     for iv in tent_support_cycle(1.3).intervals:
         assert g.integral(iv.lo, iv.hi) == pytest.approx(0.5, abs=2e-2)
-
-
-def test_export_density_csv(tmp_path):
-    g = tent_density(2.0, 64)
-    path = tmp_path / "density.csv"
-    export_density_csv(g, str(path))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "cell_lo,cell_hi,value"
-    lo, hi, v = lines[1].split(",")
-    assert float(lo) == -1.0 and float(v) == 0.5
 
 
 def test_ulam_requires_two_cells():

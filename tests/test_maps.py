@@ -11,9 +11,9 @@ from ergclt.maps import (
     tent_conjugacy,
     tent_fixed_point,
     tent_map,
-    tent_params,
     tent_period,
     tent_support_cycle,
+    tent_window_exponent,
     three_branch_map,
 )
 
@@ -83,9 +83,8 @@ def test_period_domain_errors():
 
 
 def test_tent_params():
-    p = tent_params(1.3)
-    assert p.m == 1 and p.r == 2
-    assert p.xstar == pytest.approx(0.3 / 2.3, abs=1e-15)
+    assert tent_window_exponent(1.3) == 1 and tent_period(1.3) == 2
+    assert tent_fixed_point(1.3) == pytest.approx(0.3 / 2.3, abs=1e-15)
 
 
 def test_conjugacy_inverse_pair():

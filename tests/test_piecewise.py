@@ -9,10 +9,11 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from ergclt.maps import tent_map, three_branch_map
 from ergclt.piecewise import PiecewiseAffineFunction as PAF
-from ergclt.piecewise import integrate_product, merge_grids, pw_sum
+from ergclt.piecewise import _dedupe_breakpoints, integrate_product, merge_grids, pw_sum
 
-from strategies import partial_functions, spans
+from strategies import functions_through, partial_functions, spans
 
 
 def random_paf(rng, lo=-1.0, hi=1.0, pieces=6, step=False):
@@ -123,14 +124,14 @@ def test_scale_and_divide_by_step():
 def test_divide_by_step_masks_below_floor():
     f = PAF.constant(0.0, 1.0, 3.0)
     w = PAF.step([0.0, 0.5, 1.0], [1.0, 0.0])
-    q, masked = f.divide_by_step(w, floor=1e-12)
+    q, masked = f.divide_by_step(w)
     assert masked == 1
     assert q(0.25) == 3.0 and q(0.75) == 0.0
 
 
 def test_windowing():
     f = PAF.constant(-1.0, 1.0, 2.0)
-    w = f.windowed(-0.25, 0.5)
+    w = f.windowed_union([(-0.25, 0.5)])
     assert w(0.0) == 2.0 and w(-0.5) == 0.0 and w(0.75) == 0.0
     assert w.integral() == pytest.approx(1.5, abs=1e-14)
     wu = f.windowed_union([(-0.9, -0.5), (0.5, 0.9)])
@@ -160,13 +161,6 @@ def test_embed_and_merge_grids():
     assert e(-0.5) == 0.0 and e(0.5) == 1.0 and e(1.5) == 0.0
     grid = merge_grids([f, e])
     assert grid[0] == -1.0 and grid[-1] == 2.0
-
-
-def test_project_step_preserves_mass():
-    rng = np.random.default_rng(9)
-    f = random_paf(rng)
-    p = f.project_step(64)
-    assert p.integral() == pytest.approx(f.integral(), abs=1e-12)
 
 
 def test_sup_norm():
@@ -236,6 +230,38 @@ def reference_integrate_product(fns, lo=None, hi=None):
     return float(np.dot(w, cell))
 
 
+def reference_compose_branches(f, branches):
+    """f o T with each branch's part written onto the merged cells whose
+    midpoints lie strictly inside its span, found by midpoint search."""
+    parts = [f.compose_affine(s, c, blo, bhi) for (blo, bhi, s, c) in branches]
+    grid = _dedupe_breakpoints(np.concatenate([part.breakpoints for part in parts]))
+    mids = 0.5 * (grid[:-1] + grid[1:])
+    sl = np.zeros(len(mids))
+    ic = np.zeros(len(mids))
+    for part in parts:
+        inside = (mids > part.lo) & (mids < part.hi)
+        if not np.any(inside):
+            continue
+        idx = part.cell_index(mids[inside])
+        sl[inside] = part.slopes[idx]
+        ic[inside] = part.intercepts[idx]
+    return PAF(grid, sl, ic, validate=False)
+
+
+@st.composite
+def maps_and_functions(draw):
+    """A tent map with a in (1, 2] or the three-branch map, and a function
+    whose grid may hold the branch edges, their images, or near twins."""
+    if draw(st.booleans()):
+        map_ = tent_map(draw(st.floats(1.0 + 2e-6, 2.0)))
+    else:
+        map_ = three_branch_map()
+    branches = map_.branch_tuples()
+    points = sorted({x for (lo, hi, s, c) in branches for x in (lo, hi, s * lo + c, s * hi + c)})
+    f = draw(functions_through(points, map_.domain.lo, map_.domain.hi))
+    return branches, f
+
+
 def assert_same_bytes(got, expect):
     assert np.asarray(got).tobytes() == np.asarray(expect).tobytes()
 
@@ -299,6 +325,12 @@ def test_property_integrate_product_matches_reference(fns, clip, window):
     lo, hi = window if clip else (None, None)
     got = integrate_product(fns, lo, hi)
     assert_same_bytes(got, reference_integrate_product(fns, lo, hi))
+
+
+@given(maps_and_functions())
+def test_property_compose_branches_matches_reference(case):
+    branches, f = case
+    assert_same_function(f.compose_branches(branches), reference_compose_branches(f, branches))
 
 
 @given(st.lists(partial_functions(), min_size=1, max_size=4))
