@@ -4,6 +4,7 @@ exact density recursion."""
 import numpy as np
 import pytest
 
+from ergclt.cli import main
 from ergclt.densities import (
     detect_periodicity,
     invariant_density,
@@ -118,6 +119,16 @@ def test_cycle_masses_from_raw_ulam():
     g = invariant_density(ulam_matrix(tent_map(1.3), 4096))
     for iv in tent_support_cycle(1.3).intervals:
         assert g.integral(iv.lo, iv.hi) == pytest.approx(0.5, abs=2e-2)
+
+
+def test_export_density_csv(tmp_path):
+    # the density table is exported as CSV by the `density` command
+    out = tmp_path / "density"
+    assert main(["density", "--map", "tent", "--a", "2", "--grid", "64", "--out", str(out)]) == 0
+    lines = (tmp_path / "density.csv").read_text().splitlines()
+    assert lines[0] == "cell_lo,cell_hi,value"
+    lo, hi, v = lines[1].split(",")
+    assert float(lo) == -1.0 and float(v) == 0.5
 
 
 def test_ulam_requires_two_cells():
