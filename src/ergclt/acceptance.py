@@ -114,8 +114,7 @@ def crit_nonergodic_eta(seed: int = DEFAULT_SEED) -> CriterionResult:
 def crit_limit_law_mixture(seed: int = DEFAULT_SEED) -> CriterionResult:
     tb = three_branch_system()
     inits = sample_from_density(tb.density, 4000, seed)
-    sample = partial_sum_paths(tb.map, tb.observable, 4096, [1.0], inits, seed,
-                               init_sampler="three_branch")
+    sample = partial_sum_paths(tb.map, tb.observable, 4096, [1.0], inits, seed)
     prof = variance_profile(tb.components, tb.observable, tb.map, tb.transfer, J=32)
     reports = limit_law_check(sample, prof, inits)
     stats = [r.ks_stat for r in reports]
@@ -131,8 +130,7 @@ def crit_limit_law_mixture(seed: int = DEFAULT_SEED) -> CriterionResult:
 def crit_limit_law_ergodic(seed: int = DEFAULT_SEED) -> CriterionResult:
     sys2 = tent_system(2.0)
     inits = sample_from_density(sys2.density, 4000, seed)
-    sample = partial_sum_paths(sys2.map, sys2.observable, 4096, [1.0], inits, seed,
-                               init_sampler="tent(a=2)")
+    sample = partial_sum_paths(sys2.map, sys2.observable, 4096, [1.0], inits, seed)
     w = sample.marginal(1.0)
     ks = ks_statistic(w, lambda x: ndtr(x / math.sqrt(1.0 / 3.0))).ks_stat
     var = float(w.var(ddof=1))

@@ -147,13 +147,13 @@ def cmd_variance(config: RunConfig) -> int:
         system = tent_system(a, config.grid_n)
         auto = sigma2_autocovariance(system.observable, system.map, system.transfer,
                                      system.components[0], J=config.truncation_J)
-        body["autocov"] = auto.to_dict()
+        body["autocov"] = asdict(auto)
         dyad = variance_profile_dyadic(system.observable, system.map, system.transfer,
                                        system.components, J=config.dyadic_levels)
         body["dyadic_series"] = dyad.to_dict()
         if a > SQRT2:
-            body["resolvent"] = sigma2_resolvent(system.observable, system.transfer,
-                                                 J=config.truncation_J).to_dict()
+            body["resolvent"] = asdict(sigma2_resolvent(system.observable, system.transfer,
+                                                        J=config.truncation_J))
         else:
             base_sys = tent_system(squared_param(a), config.grid_n)
             base = sigma2_resolvent(base_sys.observable, base_sys.transfer,
@@ -163,7 +163,7 @@ def cmd_variance(config: RunConfig) -> int:
                 "sigma": sigma,
                 "sigma2": sigma * sigma,
                 "base_parameter": squared_param(a),
-                "base": base.to_dict(),
+                "base": asdict(base),
             }
     _atomic_write(config.output_path + ".json", _json_payload(config, body))
     return 0
@@ -178,14 +178,14 @@ def cmd_simulate(config: RunConfig) -> int:
     inits = sample_from_density(system.density, config.paths, config.seed)
     t_grid = [0.25, 0.5, 1.0]
     sample = partial_sum_paths(system.map, system.observable, config.steps_n, t_grid,
-                               inits, config.seed, init_sampler=system.name)
+                               inits, config.seed)
     sample.to_csv(config.output_path + ".csv")
     prof = variance_profile(system.components, system.observable, system.map, system.transfer,
                             J=config.truncation_J)
     reports = limit_law_check(sample, prof, inits)
     body = {
         "variance_profile": prof.to_dict(),
-        "gof_reports": [r.to_dict() for r in reports],
+        "gof_reports": [asdict(r) for r in reports],
         "marginal_variance": {
             repr(t): float(sample.paths[:, i].var(ddof=1)) for i, t in enumerate(t_grid)
         },

@@ -69,14 +69,6 @@ class VarianceEstimate:
         if self.sigma2 < 0:
             raise ValueError("variance must be nonnegative")
 
-    def to_dict(self) -> dict:
-        return {
-            "sigma2": self.sigma2,
-            "method": self.method,
-            "truncation_J": self.truncation_J,
-            "tail_bound": self.tail_bound,
-        }
-
 
 @dataclass
 class VarianceProfile:
@@ -348,7 +340,6 @@ class MapSystem:
     """A map together with its invariant density, transfer action, and
     ergodic decomposition: one support cycle per ergodic component."""
 
-    name: str
     map: PiecewiseLinearMap
     density: PiecewiseAffineFunction
     transfer: NormalizedTransfer
@@ -360,7 +351,6 @@ class MapSystem:
 def tent_system(a: float, base_grid: int = 4096) -> MapSystem:
     g = tent_density(a, base_grid)
     return MapSystem(
-        name=f"tent(a={a})",
         map=tent_map(a),
         density=g,
         transfer=NormalizedTransfer(tent_map(a), g),
@@ -377,7 +367,6 @@ def three_branch_system() -> MapSystem:
         centered_wrt="three_branch",
     )
     return MapSystem(
-        name="three_branch",
         map=three_branch_map(),
         density=transfer.gstar,
         transfer=transfer,

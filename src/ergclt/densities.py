@@ -202,7 +202,7 @@ def detect_periodicity(op: UlamOperator) -> int:
         for _ in range(_DETECT_WINDOW):
             d = op.apply_to_masses(d)
             steps += 1
-            supports.append(frozenset(np.flatnonzero(d > _SUPPORT_EPS).tolist()))
+            supports.append(np.packbits(d > _SUPPORT_EPS).tobytes())
         r = _support_cycle_length(supports)
         if r is not None:
             return r

@@ -50,10 +50,6 @@ class AffineMap:
             raise ValueError("constant map has no inverse")
         return AffineMap(1.0 / self.slope, -self.intercept / self.slope)
 
-    def image(self, iv: Interval) -> Interval:
-        a, b = self(iv.lo), self(iv.hi)
-        return Interval(min(a, b), max(a, b))
-
 
 class PiecewiseLinearMap:
     """Finitely many affine branches tiling an interval."""

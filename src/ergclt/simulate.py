@@ -2,9 +2,12 @@
 goodness-of-fit checks against the predicted limit laws.
 
 Randomness contract: every stream is a counter-based Philox generator keyed
-by (seed, purpose); path i consumes the i-th column of each pre-drawn block,
-so path results are pure functions of (seed, path index) and independent of
-execution order.
+by (seed, purpose); each draw is a row with one entry per path, and path i
+consumes column i of every row, so path results are pure functions of
+(seed, path index) and independent of execution order.  Orbit tail bits come
+from one stream as rows of 64-bit words, drawn as they are needed: first a
+row whose low 11 bits fill the window below the initial double, then one row
+per 64 steps, read from the top bit down.
 
 Maps whose branches all have slope ±2 with dyadic data (the full tent and
 the three-branch example) are iterated with an exact sliding-window bit
@@ -106,62 +109,45 @@ def _dyadic_engine_params(map_: PiecewiseLinearMap):
     }
 
 
-class _DyadicOrbit:
-    """Sliding-window orbit of a slope-±2 dyadic map, exact in distribution."""
+def _orbit(map_: PiecewiseLinearMap, inits: np.ndarray, seed: int, n_steps: int):
+    """Yield the points x_0, ..., x_(n_steps-1) of every path's orbit, one
+    array per step; no step is taken after the last point.
 
-    def __init__(self, params, inits: np.ndarray, seed: int, n_steps: int):
-        self.p = params
-        u0 = np.clip((inits - params["lo"]) / params["width"], 0.0, 1.0 - 2.0**-53)
-        self.w = (u0 * 2.0**64).astype(np.uint64)
-        self.flip = np.zeros(len(inits), dtype=np.uint64)
-        blocks = max((n_steps + 63) // 64, 1)
-        words = _rng(seed, _STREAM_BITS).integers(0, _TWO64, size=(blocks + 1, len(inits)), dtype=np.uint64)
+    Maps accepted by _dyadic_engine_params run the sliding-window bit engine,
+    which is exact in distribution.  Others run map_.step in double
+    precision, where rounding acts as benign pseudo-orbit noise.
+    """
+    p = _dyadic_engine_params(map_)
+    x = np.array(inits, dtype=float)
+    if p is not None:
+        bits = _rng(seed, _STREAM_BITS)
+        u0 = np.clip((x - p["lo"]) / p["width"], 0.0, 1.0 - 2.0**-53)
         # A double carries 53 random bits; the bits below it in the window are
         # a deterministic zero block that every orbit would visit around step
         # 53..64 (a spurious excursion to the corner).  Randomize them; this
         # perturbs the initial point by less than one float ulp.
-        self.w ^= words[0] & np.uint64(0x7FF)
-        self.words = words[1:]
-        self.k = 0
-
-    def current(self) -> np.ndarray:
-        return self.p["lo"] + self.p["width"] * (self.w.astype(np.float64) * 2.0**-64)
-
-    def step(self):
-        p = self.p
-        idx = np.searchsorted(p["thresholds"], self.w, side="right")
-        bit = (self.words[self.k // 64] >> np.uint64(63 - self.k % 64)) & np.uint64(1)
-        bit ^= self.flip
-        doubled = (self.w << np.uint64(1)) | bit
+        low = bits.integers(0, _TWO64, size=len(x), dtype=np.uint64) & np.uint64(0x7FF)
+        w = (u0 * 2.0**64).astype(np.uint64) ^ low
+        flip = np.zeros(len(x), dtype=np.uint64)
+    for k in range(n_steps):
+        if p is not None:
+            x = p["lo"] + p["width"] * (w.astype(np.float64) * 2.0**-64)
+        yield x
+        if k + 1 == n_steps:
+            return
+        if p is None:
+            x = map_.step(x)
+            continue
+        if k % 64 == 0:
+            row = bits.integers(0, _TWO64, size=len(x), dtype=np.uint64)
+        idx = np.searchsorted(p["thresholds"], w, side="right")
+        bit = (row >> np.uint64(63 - k % 64)) & np.uint64(1)
+        bit ^= flip
+        doubled = (w << np.uint64(1)) | bit
         off = p["offset"][idx]
         neg = p["neg"][idx]
-        pos_val = doubled + off
-        neg_val = off - doubled - np.uint64(1)
-        self.w = np.where(neg, neg_val, pos_val)
-        self.flip = np.where(neg, self.flip ^ np.uint64(1), self.flip)
-        self.k += 1
-
-
-class _FloatOrbit:
-    """Plain double-precision orbit; adequate for non-dyadic slopes, where
-    rounding acts as benign pseudo-orbit noise."""
-
-    def __init__(self, map_: PiecewiseLinearMap, inits: np.ndarray):
-        self.map = map_
-        self.x = np.array(inits, dtype=float)
-
-    def current(self) -> np.ndarray:
-        return self.x
-
-    def step(self):
-        self.x = self.map.step(self.x)
-
-
-def _make_orbit(map_: PiecewiseLinearMap, inits: np.ndarray, seed: int, n_steps: int):
-    params = _dyadic_engine_params(map_)
-    if params is not None:
-        return _DyadicOrbit(params, inits, seed, n_steps)
-    return _FloatOrbit(map_, inits)
+        w = np.where(neg, off - doubled - np.uint64(1), doubled + off)
+        flip = np.where(neg, flip ^ np.uint64(1), flip)
 
 
 def _evaluator(f: PiecewiseAffineFunction):
@@ -194,8 +180,6 @@ class CltSample:
     n: int
     t_grid: np.ndarray
     paths: np.ndarray
-    seed: int
-    init_sampler: str
 
     def marginal(self, t: float) -> np.ndarray:
         k = int(np.flatnonzero(np.isclose(self.t_grid, t))[0])
@@ -210,7 +194,7 @@ class CltSample:
 
 
 def partial_sum_paths(map_: PiecewiseLinearMap, h: Observable, n: int, t_grid,
-                      inits, seed: int, init_sampler: str = "custom") -> CltSample:
+                      inits, seed: int) -> CltSample:
     """Simulate w_n(t) = n^(-1/2) * sum of the first floor(nt) values of h
     along each orbit, at the requested grid times."""
     if n < 1:
@@ -223,7 +207,6 @@ def partial_sum_paths(map_: PiecewiseLinearMap, h: Observable, n: int, t_grid,
         raise ValueError("initial point outside the map domain")
     checkpoints = np.floor(n * t_grid + 1e-12).astype(int)
     out = np.zeros((len(inits), len(t_grid)))
-    orbit = _make_orbit(map_, inits, seed, n)
     heval = _evaluator(h.f)
     scale = 1.0 / math.sqrt(n)
     by_step: dict[int, list[int]] = {}
@@ -232,12 +215,11 @@ def partial_sum_paths(map_: PiecewiseLinearMap, h: Observable, n: int, t_grid,
             by_step.setdefault(int(k), []).append(col)
     s = np.zeros(len(inits))
     last_k = max(by_step) if by_step else 0
-    for j in range(1, last_k + 1):
-        s += heval(orbit.current())
-        orbit.step()
+    for j, x in enumerate(_orbit(map_, inits, seed, last_k), start=1):
+        s += heval(x)
         for col in by_step.get(j, ()):
             out[:, col] = s * scale
-    return CltSample(n=n, t_grid=t_grid, paths=out, seed=seed, init_sampler=init_sampler)
+    return CltSample(n=n, t_grid=t_grid, paths=out)
 
 
 # ----------------------------------------------------------------------
@@ -251,15 +233,6 @@ class GofReport:
     target: dict
     t: float
     note: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "ks_stat": self.ks_stat,
-            "sample_size": self.sample_size,
-            "target": self.target,
-            "t": self.t,
-            "note": self.note,
-        }
 
 
 def ks_statistic(samples, cdf, target: dict | None = None, t: float = 1.0) -> GofReport:
@@ -364,14 +337,6 @@ class MaximalInequalityReport:
     holds: bool
     trials: int
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n, "q": self.q, "lhs": self.lhs, "lhs_stderr": self.lhs_stderr,
-            "rhs": self.rhs, "martingale_norm": self.martingale_norm,
-            "delta_q": self.delta_q, "margin_sigmas": self.margin_sigmas,
-            "holds": self.holds, "trials": self.trials,
-        }
-
 
 def dyadic_block_norms(f: Observable, transfer_action: NormalizedTransfer, q: int) -> list[float]:
     """L2(nu) norms of sum_{k=1..2^j} P_T^k f for j = 0..q-1, exact quadrature.
@@ -419,17 +384,16 @@ def maximal_inequality_sweep(map_: PiecewiseLinearMap, f: Observable,
     mart = (f.f - koopman(map_, ptf)).norm_l2(transfer_action.gstar)
 
     inits = sample_from_density(nu, trials, seed)
-    orbit = _make_orbit(map_, inits, seed, ns[-1])
+    orbit = _orbit(map_, inits, seed, ns[-1])
     heval = _evaluator(f.f)
     s = np.zeros(trials)
     m = np.zeros(trials)
     reports = []
     done = 0
     for n in ns:
-        for _ in range(done, n):
-            s += heval(orbit.current())
+        for x in itertools.islice(orbit, n - done):
+            s += heval(x)
             np.maximum(m, np.abs(s), out=m)
-            orbit.step()
         done = n
         q = n.bit_length()  # floor(log2(n)) + 1, so 2^(q-1) <= n < 2^q
         delta_q = sum(2.0 ** (-j / 2.0) * norms[j] for j in range(q))

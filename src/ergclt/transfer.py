@@ -116,28 +116,25 @@ class ConditionReport:
     series_partial: list[float]
     dyadic_partial: list[float]
     theta: float
-    theta_residual: float
     iterate_norm2: list[float] = field(default_factory=list)
-    iterate_norm1: list[float] = field(default_factory=list)
     interp_bound: list[float] = field(default_factory=list)
 
 
-def _fit_decay_rate(norms: np.ndarray) -> tuple[float, float]:
+def _fit_decay_rate(norms: np.ndarray) -> float:
     """Least-squares geometric rate of a norm sequence, fitted on the tail
     half to skip the transient.  Sequences that hit exact zero fit theta=0."""
     norms = np.asarray(norms)
     pos = norms > 0
     if not np.all(pos):
-        return 0.0, 0.0
+        return 0.0
     n = len(norms)
     start = n // 2 if n >= 4 else 0
     idx = np.arange(start + 1, n + 1, dtype=float)
     logs = np.log(norms[start:])
     if len(idx) < 2:
-        return 1.0, 0.0
-    slope, intercept = np.polyfit(idx, logs, 1)
-    resid = float(np.sqrt(np.mean((logs - (slope * idx + intercept)) ** 2)))
-    return float(math.exp(slope)), resid
+        return 1.0
+    slope, _ = np.polyfit(idx, logs, 1)
+    return float(math.exp(slope))
 
 
 def condition_report(h: PiecewiseAffineFunction, transfer_action: NormalizedTransfer,
@@ -163,21 +160,18 @@ def condition_report(h: PiecewiseAffineFunction, transfer_action: NormalizedTran
     running = transfer_action.weighted(h)   # sum of the iterates so far
     V = []
     pt2 = []
-    pt1 = []
     interp = []
     for v, l1 in itertools.islice(transfer_action.iterates(running), K):
         V.append(norm2(running))
         running = pw_sum([running, v]).pruned()
         pt2.append(norm2(v))
-        pt1.append(l1)
         interp.append(math.sqrt(max(sup_h, 0.0) * l1))
     if len(V) < K:
         # a dead iterate fixes the partial sum
         V.extend([norm2(running)] * (K - len(V)))
         pt2.append(0.0)
-        pt1.append(0.0)
         interp.append(0.0)
-    theta, resid = _fit_decay_rate(np.array(pt2))
+    theta = _fit_decay_rate(np.array(pt2))
 
     ns = np.arange(1, K + 1, dtype=float)
     series_partial = np.cumsum(np.array(V) * ns ** (-1.5)).tolist()
@@ -194,8 +188,6 @@ def condition_report(h: PiecewiseAffineFunction, transfer_action: NormalizedTran
         series_partial=series_partial,
         dyadic_partial=dyadic,
         theta=theta,
-        theta_residual=resid,
         iterate_norm2=pt2,
-        iterate_norm1=pt1,
         interp_bound=interp,
     )

@@ -211,6 +211,12 @@ PINNED_RUNS = {
         {"run.csv": "4cd8604a9fe154fd06d731de8827325b6d69d05ff76062397fe51034b8a7ebff",
          "run.json": "49cf5d8ff2874bad6e52e9dbeb99383d3ab678579eb3cdc8ee3413390d7bf78c"},
     ),
+    # the float orbit engine; recorded before the orbit engines became one generator
+    "simulate_tent_1.3": (
+        ["simulate", "--map", "tent", "--a", "1.3", "--paths", "200", "--steps", "256", "--seed", "7"],
+        {"run.csv": "2977b95364dbe75e313223282435f43e2e57424d666573effe772dc0fd594543",
+         "run.json": "7c87f3c5e37f429f90f3074dce0c93a905a52acfb93916b06c73cd4bef736d4f"},
+    ),
 }
 
 

@@ -1,6 +1,8 @@
 """Path simulation, goodness-of-fit machinery, and the maximal inequality."""
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +13,12 @@ from ergclt.maps import tent_map, tent_support_cycle, three_branch_map
 from ergclt.piecewise import PiecewiseAffineFunction as PAF
 from ergclt.piecewise import integrate_product
 from ergclt.simulate import (
+    _STREAM_BITS,
+    _TWO64,
     _dyadic_engine_params,
+    _evaluator,
+    _orbit,
+    _rng,
     ks_statistic,
     limit_law_check,
     maximal_inequality_sweep,
@@ -105,13 +112,67 @@ def test_stationarity_along_orbit():
     sys2 = tent_system(2.0)
     n = 512
     inits = sample_from_density(sys2.density, 10000, 11)
-    from ergclt.simulate import _make_orbit
-    orbit = _make_orbit(sys2.map, inits, 11, n)
-    start = orbit.current().copy()
-    for _ in range(n // 2):
-        orbit.step()
-    mid = orbit.current().copy()
+    points = _orbit(sys2.map, inits, 11, n)
+    start = next(points)
+    mid = next(itertools.islice(points, n // 2 - 1, None))
     assert two_sample_ks(start, mid) <= 0.03
+
+
+def reference_partial_sums(map_, h, n, t_grid, inits, seed):
+    """Partial sums from the bit engine as it drew its tail bits before: the
+    whole (n/64 + 2) x paths block up front, and a step after every point."""
+    p = _dyadic_engine_params(map_)
+    u0 = np.clip((inits - p["lo"]) / p["width"], 0.0, 1.0 - 2.0**-53)
+    w = (u0 * 2.0**64).astype(np.uint64)
+    flip = np.zeros(len(inits), dtype=np.uint64)
+    blocks = max((n + 63) // 64, 1)
+    words = _rng(seed, _STREAM_BITS).integers(0, _TWO64, size=(blocks + 1, len(inits)), dtype=np.uint64)
+    w ^= words[0] & np.uint64(0x7FF)
+    words = words[1:]
+    heval = _evaluator(h.f)
+    checkpoints = np.floor(n * np.asarray(t_grid) + 1e-12).astype(int)
+    out = np.zeros((len(inits), len(t_grid)))
+    s = np.zeros(len(inits))
+    for k in range(max(checkpoints)):
+        s += heval(p["lo"] + p["width"] * (w.astype(np.float64) * 2.0**-64))
+        idx = np.searchsorted(p["thresholds"], w, side="right")
+        bit = ((words[k // 64] >> np.uint64(63 - k % 64)) & np.uint64(1)) ^ flip
+        doubled = (w << np.uint64(1)) | bit
+        off, neg = p["offset"][idx], p["neg"][idx]
+        w = np.where(neg, off - doubled - np.uint64(1), doubled + off)
+        flip = np.where(neg, flip ^ np.uint64(1), flip)
+        out[:, checkpoints == k + 1] = (s * (1.0 / math.sqrt(n)))[:, None]
+    return out
+
+
+@pytest.mark.parametrize("system", [lambda: tent_system(2.0), three_branch_system], ids=["tent2", "three_branch"])
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+def test_bit_engine_matches_block_draw(system, n):
+    """Tail bits drawn one 64-step row at a time give the bytes of the old
+    up-front block, across row boundaries."""
+    s = system()
+    inits = sample_from_density(s.density, 300, 61)
+    t_grid = [0.0, 0.25, 0.5, 1.0]
+    got = partial_sum_paths(s.map, s.observable, n, t_grid, inits, 61).paths
+    assert got.tobytes() == reference_partial_sums(s.map, s.observable, n, t_grid, inits, 61).tobytes()
+
+
+def test_bit_engine_memory_bounded_in_steps():
+    """Traced peak memory of a partial-sum run grows with paths, not with
+    steps x paths: drawing every tail bit up front would add about 1 MiB
+    from 2^10 to 2^14 steps at 512 paths."""
+    tb = three_branch_system()
+    inits = sample_from_density(tb.density, 512, 67)
+    partial_sum_paths(tb.map, tb.observable, 64, [1.0], inits, 67)  # warm caches
+    peaks = []
+    for n in (2**10, 2**14):
+        tracemalloc.start()
+        try:
+            partial_sum_paths(tb.map, tb.observable, n, [0.5, 1.0], inits, 67)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 64 * 1024
 
 
 def test_csv_round_trip(tmp_path):
