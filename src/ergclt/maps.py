@@ -83,8 +83,8 @@ class PiecewiseLinearMap:
         return [(p.lo, p.hi, s, c) for (p, s, c) in self.branches]
 
     def branch_index(self, x: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self._edges, x, side="right") - 1
-        return np.clip(idx, 0, len(self.branches) - 1)
+        idx = self._edges.searchsorted(x, side="right") - 1
+        return np.minimum(np.maximum(idx, 0, out=idx), len(self.branches) - 1, out=idx)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -101,8 +101,8 @@ class PiecewiseLinearMap:
         """Vectorized map application without domain checks (hot loop use)."""
         idx = self.branch_index(x)
         out = self._slopes[idx] * x + self._intercepts[idx]
-        np.clip(out, self.domain.lo, self.domain.hi, out=out)
-        return out
+        np.maximum(out, self.domain.lo, out=out)
+        return np.minimum(out, self.domain.hi, out=out)
 
     def image_of(self, iv: Interval) -> Interval:
         """Exact image interval of iv (evaluates endpoints and interior kinks)."""

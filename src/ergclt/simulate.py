@@ -159,7 +159,7 @@ def _evaluator(f: PiecewiseAffineFunction):
     inner = bp[1:-1]
 
     def ev(x):
-        idx = np.clip(np.searchsorted(inner, x, side="right"), 0, last)
+        idx = inner.searchsorted(x, side="right")  # in [0, last]: no clipping needed
         return sl[idx] * x + ic[idx]
 
     return ev

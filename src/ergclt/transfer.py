@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .maps import PiecewiseLinearMap, three_branch_map
-from .piecewise import PiecewiseAffineFunction, integrate_product, pw_sum
+from .piecewise import PiecewiseAffineFunction, _embedded, _sum_of_parts, integrate_product, pw_sum
 
 # An iterate whose L1 norm is at most this fraction of its start's is dead:
 # it and every later iterate count as zero.
@@ -28,7 +28,10 @@ def frobenius_perron(map_: PiecewiseLinearMap, f: PiecewiseAffineFunction) -> Pi
     """Push a function forward under the map w.r.t. Lebesgue measure.
 
     Each affine branch contributes |slope|^-1 * f(inverse branch) on the
-    branch image, so the result stays piecewise affine.
+    branch image, so the result stays piecewise affine.  One pass over
+    arrays that builds no intermediate function, with the bits of the chain
+    `compose_affine`, `* (1/|slope|)`, `embed`, `pw_sum`, `pruned`: the same
+    expressions in the same order.
     """
     lo, hi = map_.domain.lo, map_.domain.hi
     parts = []
@@ -37,9 +40,10 @@ def frobenius_perron(map_: PiecewiseLinearMap, f: PiecewiseAffineFunction) -> Pi
         img_lo, img_hi = min(a_img, b_img), max(a_img, b_img)
         if img_hi - img_lo < 1e-15:
             continue
-        part = f.compose_affine(1.0 / s, -c / s, img_lo, img_hi) * (1.0 / abs(s))
-        parts.append(part.embed(lo, hi))
-    return pw_sum(parts).pruned()
+        grid, sl, ic = f._composed(1.0 / s, -c / s, img_lo, img_hi)
+        k = 1.0 / abs(s)
+        parts.append(_embedded(grid, sl * k, ic * k, lo, hi))
+    return _sum_of_parts(parts).pruned()
 
 
 def koopman(map_: PiecewiseLinearMap, f: PiecewiseAffineFunction) -> PiecewiseAffineFunction:
@@ -81,7 +85,9 @@ class NormalizedTransfer:
     def iterates(self, v: PiecewiseAffineFunction, step: int = 1):
         """Yield (P^(step*n) v, its L1 norm) for n = 1, 2, ... of a weighted start v.
 
-        Each iterate is `step` pushes followed by one pruning.  The sequence
+        Each iterate is `step` one-pass pushes followed by one pruning; its L1
+        norm is one dot product unless it changes sign inside a cell.  Both
+        keep the bits of the operation chains they stand for.  The sequence
         ends before the first dead iterate, one whose L1 norm is at most
         DEAD_ITERATE_REL times the start's; callers read every later term as
         zero.  The sequence is otherwise unbounded: take as many as needed.

@@ -4,6 +4,7 @@ the property tests."""
 import numpy as np
 from hypothesis import strategies as st
 
+from ergclt.maps import Interval, PiecewiseLinearMap, tent_map, three_branch_map
 from ergclt.piecewise import PiecewiseAffineFunction as PAF
 
 
@@ -62,3 +63,21 @@ def functions_through(draw, points, lo=-1.0, hi=1.0):
     bp = np.unique(np.concatenate([f.breakpoints, [x for x in extra if f.lo < x < f.hi]]))
     coeffs = st.lists(st.floats(-5.0, 5.0), min_size=len(bp) - 1, max_size=len(bp) - 1)
     return PAF(bp, draw(coeffs), draw(coeffs))
+
+
+# Two branches on [0, 1] whose images both stop short of both domain ends.
+SHORT_IMAGE_MAP = PiecewiseLinearMap(Interval(0.0, 1.0), [((0.0, 0.5), 1.2, 0.1), ((0.5, 1.0), -1.2, 1.3)])
+
+
+@st.composite
+def maps_and_functions_through(draw):
+    """A tent map with a in (1, 2], the three-branch map or SHORT_IMAGE_MAP,
+    and a function whose grid may hold the branch edges, their images, or
+    near twins."""
+    kind = draw(st.sampled_from(["tent", "three-branch", "short-image"]))
+    if kind == "tent":
+        map_ = tent_map(draw(st.floats(1.0 + 2e-6, 2.0)))
+    else:
+        map_ = three_branch_map() if kind == "three-branch" else SHORT_IMAGE_MAP
+    points = sorted({x for (lo, hi, s, c) in map_.branch_tuples() for x in (lo, hi, s * lo + c, s * hi + c)})
+    return map_, draw(functions_through(points, map_.domain.lo, map_.domain.hi))

@@ -7,6 +7,7 @@ import pytest
 
 from ergclt.maps import (
     Interval,
+    PiecewiseLinearMap,
     squared_param,
     tent_conjugacy,
     tent_fixed_point,
@@ -171,3 +172,13 @@ def test_branch_images_stay_in_domain():
         for (piece, s, c) in t.branches:
             for x in (piece.lo, piece.hi):
                 assert t.domain.contains(s * x + c, tol=1e-9)
+
+
+def test_branch_index_and_step_clamp_to_the_domain():
+    """Points past either end take the end branch; images that overshoot the
+    domain by rounding (up to the 1e-9 that construction allows) are clamped."""
+    t = three_branch_map()
+    x = np.array([-1.0, 0.0, 0.25, 0.5, 0.75, 1.0, 2.0])
+    assert t.branch_index(x).tolist() == [0, 0, 1, 1, 2, 2, 2]
+    m = PiecewiseLinearMap(Interval(0.0, 1.0), [(Interval(0.0, 1.0), 1.0 + 1e-9, -5e-10)])
+    assert m.step(np.array([0.0, 0.5, 1.0])).tolist() == [0.0, (1.0 + 1e-9) * 0.5 - 5e-10, 1.0]

@@ -9,11 +9,10 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from ergclt.maps import tent_map, three_branch_map
 from ergclt.piecewise import PiecewiseAffineFunction as PAF
-from ergclt.piecewise import _dedupe_breakpoints, integrate_product, merge_grids, pw_sum
+from ergclt.piecewise import _dedupe_breakpoints, _sorted_union, integrate_product, merge_grids, pw_sum
 
-from strategies import functions_through, partial_functions, spans
+from strategies import maps_and_functions_through, partial_functions, spans
 
 
 def random_paf(rng, lo=-1.0, hi=1.0, pieces=6, step=False):
@@ -163,6 +162,14 @@ def test_embed_and_merge_grids():
     assert grid[0] == -1.0 and grid[-1] == 2.0
 
 
+def test_cell_index_clamps_to_the_span():
+    """Points past either end take the end cell; a point on a breakpoint
+    takes the cell to its right, the last breakpoint the last cell."""
+    f = PAF.step([0.0, 0.5, 1.0, 2.0], [1.0, 2.0, 3.0])
+    x = np.array([-1.0, 0.0, 0.5, 0.75, 1.0, 2.0, 3.0])
+    assert f.cell_index(x).tolist() == [0, 0, 1, 1, 2, 2, 2]
+
+
 def test_sup_norm():
     f = PAF.affine(-1.0, 1.0, 2.0, 0.5)
     assert f.sup_norm() == pytest.approx(2.5, abs=1e-15)
@@ -248,20 +255,6 @@ def reference_compose_branches(f, branches):
     return PAF(grid, sl, ic, validate=False)
 
 
-@st.composite
-def maps_and_functions(draw):
-    """A tent map with a in (1, 2] or the three-branch map, and a function
-    whose grid may hold the branch edges, their images, or near twins."""
-    if draw(st.booleans()):
-        map_ = tent_map(draw(st.floats(1.0 + 2e-6, 2.0)))
-    else:
-        map_ = three_branch_map()
-    branches = map_.branch_tuples()
-    points = sorted({x for (lo, hi, s, c) in branches for x in (lo, hi, s * lo + c, s * hi + c)})
-    f = draw(functions_through(points, map_.domain.lo, map_.domain.hi))
-    return branches, f
-
-
 def assert_same_bytes(got, expect):
     assert np.asarray(got).tobytes() == np.asarray(expect).tobytes()
 
@@ -327,10 +320,56 @@ def test_property_integrate_product_matches_reference(fns, clip, window):
     assert_same_bytes(got, reference_integrate_product(fns, lo, hi))
 
 
-@given(maps_and_functions())
+@given(maps_and_functions_through())
 def test_property_compose_branches_matches_reference(case):
-    branches, f = case
+    map_, f = case
+    branches = map_.branch_tuples()
     assert_same_function(f.compose_branches(branches), reference_compose_branches(f, branches))
+
+
+@given(st.lists(st.lists(st.sampled_from([-1.0, -0.5, -0.0, 0.0, 1e-15, 0.25, 0.5, 1.0]), min_size=1), min_size=1))
+def test_property_sorted_union_matches_unique(grids):
+    """np.unique's steps, down to which of -0.0 and 0.0 is kept."""
+    grids = [np.array(g) for g in grids]
+    assert_same_bytes(_sorted_union(grids), np.unique(np.concatenate(grids)))
+
+
+@st.composite
+def l1_cases(draw):
+    """A drawn function (sign crossings likely, breakpoint twins often), its
+    step part, or the function moved clear of zero."""
+    f = draw(partial_functions())
+    kind = draw(st.sampled_from(["drawn", "step", "positive"]))
+    if kind == "step":
+        return PAF(f.breakpoints, np.zeros(f.num_pieces), f.intercepts)
+    if kind == "positive":
+        return PAF(f.breakpoints, f.slopes, f.intercepts + 11.0)
+    return f
+
+
+@given(l1_cases())
+def test_property_norm_l1_matches_abs_integral(f):
+    assert_same_bytes(f.norm_l1(), integrate_product([f.abs()]))
+
+
+def test_norm_l1_paths(monkeypatch):
+    """A step function takes the dot-product route; a sign crossing, and twin
+    breakpoints that merging would move, take the `abs()` route.  Both give
+    the integral of |f|."""
+    calls = []
+    orig_abs = PAF.abs
+    monkeypatch.setattr(PAF, "abs", lambda f: calls.append(f) or orig_abs(f))
+    cases = [
+        (PAF.step([0.0, 0.3, 1.0], [2.0, -1.0]), 1.3, 0),
+        (PAF([0.0, 0.6, 1.0], [2.0, 0.0], [-1.0, 3.0]), 1.46, 1),
+        (PAF.step([0.0, 0.3, 0.3 + 3e-15, 1.0], [2.0, -1.0, 4.0]), 3.4, 1),
+    ]
+    for f, expect, abs_calls in cases:
+        calls.clear()
+        got = f.norm_l1()
+        assert len(calls) == abs_calls
+        assert got == pytest.approx(expect, abs=1e-14)
+        assert_same_bytes(got, integrate_product([orig_abs(f)]))
 
 
 @given(st.lists(partial_functions(), min_size=1, max_size=4))
