@@ -34,7 +34,7 @@ from .maps import (
     three_branch_map,
 )
 from .piecewise import PiecewiseAffineFunction, integrate_product, pw_sum
-from .transfer import NormalizedTransfer, koopman, three_branch_transfer
+from .transfer import NormalizedTransfer, _fit_slope, koopman, three_branch_transfer
 
 
 class DivergenceError(RuntimeError):
@@ -186,8 +186,7 @@ def _geometric_tail(terms: np.ndarray, exhausted) -> float:
     if len(tail_half) < 2:
         return float(mags[-1])
     idx = np.arange(len(tail_half), dtype=float)
-    slope, intercept = np.polyfit(idx, np.log(tail_half), 1)
-    theta = math.exp(slope)
+    theta = math.exp(_fit_slope(idx, np.log(tail_half)))
     if theta >= 0.99:
         # a rate this close to 1 means the lags are not summably decaying
         # (periodic windows produce persistent oscillating lags)
@@ -315,9 +314,9 @@ def variance_profile_dyadic(h: Observable, map_: PiecewiseLinearMap,
     partials = [[] for _ in range(ncomp)]
     for j in range(J + 1):
         n = 2**j
-        s = np.arange(1, 2 * n)
+        s = np.arange(1.0, 2 * n)
         w = np.minimum(s, 2 * n - s)
-        level = cov[:, 1:2 * n] @ w / float(n)
+        level = np.einsum("ij,j->i", cov[:, 1:2 * n], w) / float(n)
         values = values + level
         for i in range(ncomp):
             partials[i].append(float(values[i]))

@@ -49,6 +49,12 @@ def _dedupe_breakpoints(bp: np.ndarray) -> np.ndarray:
     return out
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Σ a_i b_i in numpy's own loop, not BLAS: the bits do not depend on the
+    BLAS thread count, and no BLAS worker thread is woken."""
+    return float(np.einsum("i,i->", a, b))
+
+
 def _sorted_union(grids) -> np.ndarray:
     """np.unique of the concatenated grids by its own steps: sort, drop repeats."""
     pts = np.concatenate(grids)
@@ -247,10 +253,18 @@ class PiecewiseAffineFunction:
         inner = pre[(pre > lo) & (pre < hi)]
         grid = _dedupe_breakpoints(np.concatenate(([lo], inner, [hi])))
         mids = 0.5 * (grid[:-1] + grid[1:])
-        idx = self.cell_index(slope * mids + intercept)
+        y = slope * mids + intercept
+        idx = self.cell_index(y)
         sl = self.slopes[idx]
-        ic = self.intercepts[idx]
-        return grid, sl * slope, sl * intercept + ic
+        sl, ic = sl * slope, sl * intercept + self.intercepts[idx]
+        # f is 0 off its span, not its clamped end piece; y is monotone, so
+        # its ends show whether any cell maps off the span.
+        f_lo, f_hi = self.breakpoints[0], self.breakpoints[-1]
+        if min(y[0], y[-1]) < f_lo or max(y[0], y[-1]) > f_hi:
+            outside = (y < f_lo) | (y > f_hi)
+            sl[outside] = 0.0
+            ic[outside] = 0.0
+        return grid, sl, ic
 
     def compose_branches(self, branches) -> "PiecewiseAffineFunction":
         """Exact f(T(x)) for a map given as ordered (lo, hi, slope, intercept) branches."""
@@ -314,12 +328,12 @@ class PiecewiseAffineFunction:
         """∫ |f| w dx; |f| is split exactly at interior zero crossings.
 
         Unweighted, with no crossing and a grid that merging leaves as it is,
-        this is the dot product of the cell widths with |f| at the midpoints:
-        the bits of `integrate_product([f.abs()])` from fewer numpy calls."""
+        this is the `_dot` of the cell widths with |f| at the midpoints: the
+        bits of `integrate_product([f.abs()])` from fewer numpy calls."""
         bp = self.breakpoints
         w = bp[1:] - bp[:-1]
         if weight is None and w.min() > _BP_EPS * max(1.0, abs(bp[0]), abs(bp[-1])) and not self._crossings().any():
-            return float(np.dot(w, abs(self.slopes * (0.5 * (bp[:-1] + bp[1:])) + self.intercepts)))
+            return _dot(w, abs(self.slopes * (0.5 * (bp[:-1] + bp[1:])) + self.intercepts))
         return integrate_product([self.abs()] if weight is None else [self.abs(), weight])
 
     def norm_l2(self, weight: "PiecewiseAffineFunction | None" = None) -> float:
@@ -384,7 +398,9 @@ def integrate_product(fns, lo: float | None = None, hi: float | None = None) -> 
 
     Each factor is affine per cell of the merged grid, so the integrand is a
     polynomial of degree <= 3 per cell; odd powers of the centered coordinate
-    integrate to zero, which keeps the closed forms short and stable.
+    integrate to zero, which keeps the closed forms short and stable.  The
+    cells are summed by `_dot`, so the bits do not depend on the BLAS thread
+    count.
     """
     if not 1 <= len(fns) <= 3:
         raise ValueError("supports products of one to three factors")
@@ -409,4 +425,4 @@ def integrate_product(fns, lo: float | None = None, hi: float | None = None) -> 
         v1, v2, v3 = vals
         s1, s2, s3 = slps
         cell = v1 * v2 * v3 + (w**2 / 12.0) * (v1 * s2 * s3 + s1 * v2 * s3 + s1 * s2 * v3)
-    return float(np.dot(w, cell))
+    return _dot(w, cell)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .maps import PiecewiseLinearMap, three_branch_map
-from .piecewise import PiecewiseAffineFunction, _embedded, _sum_of_parts, integrate_product, pw_sum
+from .piecewise import PiecewiseAffineFunction, _dot, _embedded, _sum_of_parts, integrate_product, pw_sum
 
 # An iterate whose L1 norm is at most this fraction of its start's is dead:
 # it and every later iterate count as zero.
@@ -126,6 +126,12 @@ class ConditionReport:
     interp_bound: list[float] = field(default_factory=list)
 
 
+def _fit_slope(x: np.ndarray, y: np.ndarray) -> float:
+    """Least-squares slope of y against x in closed form, Σ(x−x̄)(y−ȳ) / Σ(x−x̄)²."""
+    dx = x - x.mean()
+    return _dot(dx, y - y.mean()) / _dot(dx, dx)
+
+
 def _fit_decay_rate(norms: np.ndarray) -> float:
     """Least-squares geometric rate of a norm sequence, fitted on the tail
     half to skip the transient.  Sequences that hit exact zero fit theta=0."""
@@ -139,8 +145,7 @@ def _fit_decay_rate(norms: np.ndarray) -> float:
     logs = np.log(norms[start:])
     if len(idx) < 2:
         return 1.0
-    slope, _ = np.polyfit(idx, logs, 1)
-    return float(math.exp(slope))
+    return math.exp(_fit_slope(idx, logs))
 
 
 def condition_report(h: PiecewiseAffineFunction, transfer_action: NormalizedTransfer,

@@ -9,6 +9,7 @@ import pytest
 from ergclt import piecewise
 from ergclt.clt import (
     DivergenceError,
+    _geometric_tail,
     Observable,
     autocovariance_sequence,
     blocked_observable,
@@ -35,7 +36,7 @@ from ergclt.maps import (
 from ergclt.piecewise import PiecewiseAffineFunction as PAF
 from ergclt.piecewise import PieceBudgetExceeded, integrate_product
 from ergclt.simulate import sample_from_density
-from ergclt.transfer import koopman
+from ergclt.transfer import _fit_decay_rate, _fit_slope, koopman
 
 SQRT2 = math.sqrt(2.0)
 
@@ -354,6 +355,31 @@ def test_recursion_scale_equivariance():
 def test_variance_estimate_rejects_negative():
     with pytest.raises(ValueError):
         VarianceEstimate(sigma2=-0.1, method="resolvent")
+
+
+def test_tail_fits_match_polyfit():
+    """The closed-form least-squares slope of both tail fits matches
+    np.polyfit to 1e-12 relative on noisy geometric sequences, and the 0.99
+    "not decaying" gate decides as the polyfit rate would, on both sides."""
+    rng = np.random.default_rng(8)
+    for _ in range(50):
+        n = int(rng.integers(4, 200))
+        seq = rng.uniform(0.1, 10.0) * rng.uniform(0.05, 0.98) ** np.arange(n) * np.exp(rng.normal(0, 0.01, n))
+        x = np.arange(n, dtype=float)
+        assert _fit_slope(x, np.log(seq)) == pytest.approx(np.polyfit(x, np.log(seq), 1)[0], rel=1e-12)
+        start = n // 2
+        slope = np.polyfit(x[start:] + 1.0, np.log(seq[start:]), 1)[0]
+        assert _fit_decay_rate(seq) == pytest.approx(math.exp(slope), rel=1e-12)
+    for theta in (0.98, 0.9899, 0.98999, 0.99001, 0.9901, 0.999):
+        terms = np.concatenate(([1.0], 0.5 * (-theta) ** np.arange(1, 65)))
+        tail = np.abs(terms[1:])[32:]
+        decays = math.exp(np.polyfit(np.arange(32.0), np.log(tail), 1)[0]) < 0.99
+        assert decays == (theta < 0.99)
+        if decays:
+            assert _geometric_tail(terms, None) > 0.0
+        else:
+            with pytest.raises(DivergenceError, match="not decaying"):
+                _geometric_tail(terms, None)
 
 
 def test_divergence_error_carries_terms():

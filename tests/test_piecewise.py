@@ -10,7 +10,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from ergclt.piecewise import PiecewiseAffineFunction as PAF
-from ergclt.piecewise import _dedupe_breakpoints, _sorted_union, integrate_product, merge_grids, pw_sum
+from ergclt.piecewise import _dedupe_breakpoints, _dot, _sorted_union, integrate_product, merge_grids, pw_sum
 
 from strategies import maps_and_functions_through, partial_functions, spans
 
@@ -234,7 +234,7 @@ def reference_integrate_product(fns, lo=None, hi=None):
         v1, v2, v3 = vals
         s1, s2, s3 = slps
         cell = v1 * v2 * v3 + (w**2 / 12.0) * (v1 * s2 * s3 + s1 * v2 * s3 + s1 * s2 * v3)
-    return float(np.dot(w, cell))
+    return _dot(w, cell)
 
 
 def reference_compose_branches(f, branches):

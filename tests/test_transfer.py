@@ -69,6 +69,20 @@ def test_three_branch_fixes_one_and_halves():
     assert (frobenius_perron(three_branch_map(), left) - left).sup_norm() == 0.0
 
 
+def test_function_shorter_than_the_domain_reads_zero_outside_its_span():
+    """f on [0.2, 0.9] under tent a = 1.5: the push and the composition read f
+    as 0 off its span, as they read its extension to [-1, 1] by zero pieces."""
+    t = tent_map(1.5)
+    f = PAF([0.2, 0.5, 0.9], [1.0, 2.0], [3.0, -4.0])
+    whole = f.embed(-1.0, 1.0)
+    xs = np.random.default_rng(15).uniform(-1.0, 1.0, 500)
+    assert f.integral() == pytest.approx(-0.035, abs=1e-15)
+    assert frobenius_perron(t, f).integral() == pytest.approx(-0.035, abs=1e-14)
+    assert np.abs(frobenius_perron(t, f)(xs) - frobenius_perron(t, whole)(xs)).max() <= 1e-14
+    assert koopman(t, f)(-0.9) == 0.0
+    assert np.abs(koopman(t, f)(xs) - koopman(t, whole)(xs)).max() <= 1e-14
+
+
 def test_preimage_integration_oracle():
     """∫_A Pf dx must equal ∫_{T^{-1}A} f dx, with the preimage computed
     independently by inverting each affine branch."""
@@ -394,12 +408,15 @@ def test_property_iterates_match_plain_loop_three_branch(values, centered, step)
 # ----------------------------------------------------------------------
 
 PINNED_PROBE = """
+import hashlib
 import json
+import pathlib
 
 import numpy as np
 
 from ergclt import Observable, integrate_product, sigma2_autocovariance, tent_system, three_branch_system
 from ergclt import PiecewiseAffineFunction as PAF
+from ergclt.cli import main
 from ergclt.maps import _tent_core_interval
 from ergclt.simulate import dyadic_block_norms
 
@@ -418,32 +435,38 @@ for i in range(2):
 coord = tent_system(1.3)
 est = sigma2_autocovariance(coord.observable, coord.map, coord.transfer, coord.components[0])
 out["autocov_1.3"] = [est.sigma2, est.tail_bound]
-print(json.dumps({k: [float(x).hex() for x in v] for k, v in out.items()}))
+out = {k: [float(x).hex() for x in v] for k, v in out.items()}
+assert main(["variance", "--map", "tent", "--a", "1.8", "--out", "run"]) == 0
+out["variance_tent_1.8"] = [hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(pathlib.Path().glob("run*"))]
+print(json.dumps(out))
 """
 
 PINNED_HEX = {
     "three_branch": ["0x0.0p+0"] * 10,
-    "random_0": ["0x1.61e4d5df8cf9ap-2", "0x1.c3e678acd6214p-2", "0x1.e36367cf7d445p-2", "0x1.f4593ac6f0a47p-2",
-                 "0x1.d61b4b62f7521p-2", "0x1.cd5dfe30be485p-2", "0x1.ce2a7fc2debe7p-2", "0x1.ce2b68f29dbe9p-2",
-                 "0x1.ce2b68f3b1706p-2", "0x1.ce2b68f3b1711p-2"],
-    "random_1": ["0x1.7c5e3a04ccf00p-1", "0x1.d57d2882c4e52p-1", "0x1.7da2abbaf0c55p-1", "0x1.87ddca4a53e06p-1",
-                 "0x1.88f568db678d4p-1", "0x1.8b58073f11878p-1", "0x1.8b4e5f4c14909p-1", "0x1.8b4e61c25aba3p-1",
-                 "0x1.8b4e61c274ddfp-1", "0x1.8b4e61c274de7p-1"],
-    "autocov_1.3": ["0x1.ac990450a21f0p-18", "0x1.7ceb652304df4p-45"],
+    "random_0": ["0x1.61e4d5df8cf9ap-2", "0x1.c3e678acd6213p-2", "0x1.e36367cf7d448p-2", "0x1.f4593ac6f0a50p-2",
+                 "0x1.d61b4b62f7523p-2", "0x1.cd5dfe30be485p-2", "0x1.ce2a7fc2debe9p-2", "0x1.ce2b68f29dc5fp-2",
+                 "0x1.ce2b68f3b174fp-2", "0x1.ce2b68f3b175cp-2"],
+    "random_1": ["0x1.7c5e3a04ccefcp-1", "0x1.d57d2882c4e54p-1", "0x1.7da2abbaf0c57p-1", "0x1.87ddca4a53e05p-1",
+                 "0x1.88f568db678ccp-1", "0x1.8b58073f1187ap-1", "0x1.8b4e5f4c1490bp-1", "0x1.8b4e61c25abb3p-1",
+                 "0x1.8b4e61c274de9p-1", "0x1.8b4e61c274df5p-1"],
+    "autocov_1.3": ["0x1.ac990450a21f0p-18", "0x1.7ceb6522fb8b0p-45"],
+    # sha256 of the run.json that `variance --map tent --a 1.8` writes
+    "variance_tent_1.8": ["8590e81b07deeaa7c7fd986d8e016497dc11f32091a39ec21c9b7d237562f0ed"],
 }
 
 
-def test_library_values_pinned():
+@pytest.mark.parametrize("blas_threads", ["1", "2"])
+def test_library_values_pinned(blas_threads, tmp_path):
     """`maximal`-style block norms (q = 10: the three-branch observable and two
     random tent 1.3 steps, grid 1024) and the tent 1.3 autocov variance, to
-    the last bit.  No CLI output covers them.  The probe runs in a fresh
-    interpreter with one BLAS thread, set before numpy loads: above ~10k
-    cells `np.dot` sums in a thread-count dependent order.  The values were
-    recorded with the push written as the composition chain of
-    `reference_frobenius_perron`."""
+    the last bit, plus the sha256 of the files `variance --map tent --a 1.8`
+    writes.  No CLI output covers the first two.  The probe runs in a fresh
+    interpreter with the BLAS thread count set before numpy loads; the bits
+    must not depend on it, so no reduction may go through BLAS, whose `ddot`
+    sums above ~10k cells in a thread-count dependent order."""
     src = str(pathlib.Path(ergclt.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads, PYTHONPATH=path)
     run = subprocess.run([sys.executable, "-c", PINNED_PROBE], env=env, capture_output=True, text=True,
-                         check=True)
+                         check=True, cwd=tmp_path)
     assert json.loads(run.stdout) == PINNED_HEX
