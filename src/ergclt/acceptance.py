@@ -97,7 +97,7 @@ def crit_nonergodic_eta(seed: int = DEFAULT_SEED) -> CriterionResult:
     image = frobenius_perron(three_branch_map(), tb.observable.f)
     zero_err = image.sup_norm()
     prof_auto = variance_profile(tb.components, tb.observable, tb.map, tb.transfer, J=32)
-    prof_dyad = variance_profile_dyadic(tb.observable, tb.map, tb.transfer, tb.components, J=8)
+    prof_dyad = variance_profile_dyadic(tb.observable, tb.transfer, tb.components, J=8)
     errs = []
     for prof in (prof_auto, prof_dyad):
         vals = {supports[0]: v for supports, v in prof.components}

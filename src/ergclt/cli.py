@@ -41,6 +41,29 @@ from .simulate import limit_law_check, partial_sum_paths, sample_from_density
 
 SCHEMA_VERSION = 1
 
+# The RunConfig fields each command reads.  A flag or config key outside its
+# command's set is a usage error; the JSON still records every field.
+READS = {
+    "density": ("map_spec", "a", "grid_n", "output_path", "format"),
+    "variance": ("map_spec", "a", "grid_n", "truncation_J", "dyadic_levels", "output_path"),
+    "simulate": ("map_spec", "a", "grid_n", "steps_n", "paths", "seed", "truncation_J", "output_path"),
+    "verify": ("grid_n", "seed", "output_path", "only"),
+}
+
+# field -> (flag, argparse keywords); dyadic_levels is set by --config only.
+_FLAGS = {
+    "map_spec": ("--map", {"choices": ["tent", "three-branch"]}),
+    "a": ("--a", {"type": float}),
+    "grid_n": ("--grid", {"type": int}),
+    "steps_n": ("--steps", {"type": int}),
+    "paths": ("--paths", {"type": int}),
+    "seed": ("--seed", {"type": int}),
+    "truncation_J": ("--trunc", {"type": int}),
+    "output_path": ("--out", {}),
+    "format": ("--format", {"choices": ["csv", "json"]}),
+    "only": ("--only", {"help": "run only criteria whose name contains this string"}),
+}
+
 
 @dataclass
 class RunConfig:
@@ -138,8 +161,7 @@ def cmd_variance(config: RunConfig) -> int:
         tb = three_branch_system()
         prof = variance_profile(tb.components, tb.observable, tb.map, tb.transfer,
                                 J=config.truncation_J)
-        dyad = variance_profile_dyadic(tb.observable, tb.map, tb.transfer, tb.components,
-                                       J=config.dyadic_levels)
+        dyad = variance_profile_dyadic(tb.observable, tb.transfer, tb.components, J=config.dyadic_levels)
         body["variance_profile"] = prof.to_dict()
         body["variance_profile_dyadic"] = dyad.to_dict()
     else:
@@ -148,7 +170,7 @@ def cmd_variance(config: RunConfig) -> int:
         auto = sigma2_autocovariance(system.observable, system.map, system.transfer,
                                      system.components[0], J=config.truncation_J)
         body["autocov"] = asdict(auto)
-        dyad = variance_profile_dyadic(system.observable, system.map, system.transfer,
+        dyad = variance_profile_dyadic(system.observable, system.transfer,
                                        system.components, J=config.dyadic_levels)
         body["dyadic_series"] = dyad.to_dict()
         if a > SQRT2:
@@ -211,19 +233,12 @@ def _parser() -> argparse.ArgumentParser:
                                             "for piecewise-linear interval maps.")
     p.add_argument("--config", help="key=value file; flags take precedence")
     sub = p.add_subparsers(dest="command", required=True)
-    for name in ("density", "variance", "simulate", "verify"):
+    for name, reads in READS.items():
         sp = sub.add_parser(name)
-        sp.add_argument("--map", dest="map_spec", choices=["tent", "three-branch"])
-        sp.add_argument("--a", type=float)
-        sp.add_argument("--grid", dest="grid_n", type=int)
-        sp.add_argument("--steps", dest="steps_n", type=int)
-        sp.add_argument("--paths", type=int)
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--trunc", dest="truncation_J", type=int)
-        sp.add_argument("--out", dest="output_path")
-        sp.add_argument("--format", choices=["csv", "json"])
-        if name == "verify":
-            sp.add_argument("--only", help="run only criteria whose name contains this string")
+        for key in reads:
+            if key in _FLAGS:
+                flag, kwargs = _FLAGS[key]
+                sp.add_argument(flag, dest=key, **kwargs)
     return p
 
 
@@ -251,16 +266,17 @@ def _coerce(f, raw: str):
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
-    if getattr(args, "config", None):
+    reads = READS[args.command]
+    if args.config:
         by_name = {f.name: f for f in fields(RunConfig)}
         for key, raw in _read_config_file(args.config).items():
-            if key not in by_name:
-                raise ValueError(f"unknown config key {key!r}")
+            if key not in reads:
+                raise ValueError(f"{args.command} does not read config key {key!r}")
             setattr(cfg, key, _coerce(by_name[key], raw))
-    for f in fields(RunConfig):
-        v = getattr(args, f.name, None)
+    for key in reads:
+        v = getattr(args, key, None)
         if v is not None:
-            setattr(cfg, f.name, v)
+            setattr(cfg, key, v)
     if cfg.map_spec == "three-branch":
         cfg.map_spec = "three_branch"
     return cfg
@@ -269,9 +285,12 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 def main(argv=None) -> int:
     parser = _parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    if extra:
+        print(f"error: {args.command} does not take {' '.join(extra)}", file=sys.stderr)
+        return 2
     try:
         config = _resolve_config(args)
         handler = {

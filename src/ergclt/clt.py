@@ -33,7 +33,7 @@ from .maps import (
     tent_window_exponent,
     three_branch_map,
 )
-from .piecewise import PiecewiseAffineFunction, integrate_product, pw_sum
+from .piecewise import MEASURE_TOL, PiecewiseAffineFunction, integrate_product, pw_sum
 from .transfer import NormalizedTransfer, _fit_slope, koopman, three_branch_transfer
 
 
@@ -54,7 +54,7 @@ class Observable:
 
     def check_centered(self, nu: PiecewiseAffineFunction):
         mean = integrate_product([self.f, nu])
-        if abs(mean) > 1e-9:
+        if abs(mean) > MEASURE_TOL:
             raise ValueError(f"observable not centered against {self.centered_wrt}: mean {mean:.3e}")
 
 
@@ -82,13 +82,6 @@ class VarianceProfile:
         for _, value in self.components:
             if value < -1e-12:
                 raise ValueError("profile values must be nonnegative")
-
-    def value_at(self, x: float) -> float:
-        for supports, value in self.components:
-            for (lo, hi) in supports:
-                if lo <= x <= hi:
-                    return value
-        raise ValueError(f"{x} lies in no component")
 
     def mixture(self, weights) -> list[tuple[float, float]]:
         """(weight, variance) pairs for the marginal mixture law."""
@@ -276,14 +269,12 @@ def variance_profile(components: list[SupportCycle], h: Observable, map_: Piecew
         )
         _geometric_tail(terms, exhausted)  # raises on divergence diagnostics
         value = float(comp.period / mass * (terms[0] + 2.0 * terms[1:].sum()))
-        out.append((comp.as_pairs(), max(value, 0.0)))
+        out.append((comp.as_pairs(), _clamp_sigma2(value, terms)))
     return VarianceProfile(components=out, method="autocov")
 
 
-def variance_profile_dyadic(h: Observable, map_: PiecewiseLinearMap,
-                            transfer_action: NormalizedTransfer,
-                            components: list[SupportCycle],
-                            J: int = 16) -> VarianceProfile:
+def variance_profile_dyadic(h: Observable, transfer_action: NormalizedTransfer,
+                            components: list[SupportCycle], J: int = 16) -> VarianceProfile:
     """Variance profile from the dyadic series over levels n = 2^j.
 
     The level-n cross term conditioned on an invariant component reduces, via
@@ -320,13 +311,7 @@ def variance_profile_dyadic(h: Observable, map_: PiecewiseLinearMap,
         values = values + level
         for i in range(ncomp):
             partials[i].append(float(values[i]))
-    for i in range(ncomp):
-        if values[i] < -1e-8:
-            raise DivergenceError(
-                f"dyadic series for component {i} went negative: {values[i]:.3e}",
-                partials[i],
-            )
-    comps = [(pairs, float(max(values[i], 0.0))) for i, pairs in enumerate(supports)]
+    comps = [(pairs, _clamp_sigma2(float(values[i]), partials[i])) for i, pairs in enumerate(supports)]
     return VarianceProfile(components=comps, method="dyadic", level_partials=partials)
 
 

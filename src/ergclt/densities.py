@@ -22,7 +22,7 @@ from .maps import (
     tent_invariant_interval,
     tent_map,
 )
-from .piecewise import PiecewiseAffineFunction
+from .piecewise import MEASURE_TOL, PiecewiseAffineFunction, _dot
 
 
 class ConvergenceError(RuntimeError):
@@ -244,7 +244,10 @@ def tent_density(a: float, base_grid: int = 4096) -> PiecewiseAffineFunction:
     assembled exactly from the squared-parameter density via the two inverse
     conjugacy branches: scale by a/(2 x*) on the right invariant interval and
     by 1/(2 x*) on the central one.  The recursion ends: a > 1 + 1e-6 passes
-    sqrt(2) after at most 19 squarings.
+    sqrt(2) after at most 19 squarings.  Deep windows have cells narrower
+    than the breakpoint merge tolerance, and merging them loses mass: an
+    assembled density whose mass is off by more than MEASURE_TOL raises
+    ConvergenceError with the mass error as its residual.
     """
     _check_tent_param(a)
     if a > SQRT2:
@@ -262,5 +265,8 @@ def tent_density(a: float, base_grid: int = 4096) -> PiecewiseAffineFunction:
     bp = np.concatenate((central.breakpoints, right.breakpoints[1:]))
     sl = np.concatenate((central.slopes, right.slopes))
     ic = np.concatenate((central.intercepts, right.intercepts))
-    fn = PiecewiseAffineFunction(bp, sl, ic).embed(-1.0, 1.0)
-    return fn.pruned()
+    fn = PiecewiseAffineFunction(bp, sl, ic).embed(-1.0, 1.0).pruned()
+    mass_err = _dot(fn.breakpoints[1:] - fn.breakpoints[:-1], fn.piece_values()) - 1.0
+    if abs(mass_err) > MEASURE_TOL:
+        raise ConvergenceError(f"the tent density assembled at a={a!r} has lost mass", mass_err)
+    return fn

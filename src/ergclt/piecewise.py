@@ -20,9 +20,13 @@ _BP_EPS = 1e-14
 # within this absolute tolerance.
 PRUNE_ABS = 1e-13
 
-# Step weights at or below this value count as zero: the quotient and the
-# reciprocal are set to 0 there.
+# Step weights at or below this value count as zero: the reciprocal is set
+# to 0 there.
 DENSITY_FLOOR = 1e-12
+
+# A mean or a mass counts as exact within this: |∫ h dν| of a centered
+# observable, |∫ g − 1| of an assembled density.
+MEASURE_TOL = 1e-9
 
 # Bound on representation size; an operation that would exceed it raises
 # PieceBudgetExceeded instead of allocating the result.
@@ -208,20 +212,6 @@ class PiecewiseAffineFunction:
         sl, ic = self._coeffs_on(mids)
         w = weight._coeffs_on(mids)[1]  # slopes are zero for a step function
         return PiecewiseAffineFunction(grid, sl * w, ic * w, validate=False)
-
-    def divide_by_step(self, weight: "PiecewiseAffineFunction"):
-        """Exact quotient by a step function; cells with weight <= DENSITY_FLOOR map to 0.
-
-        Returns (quotient, masked_cell_count).
-        """
-        grid = merge_grids([self, weight])
-        mids = 0.5 * (grid[:-1] + grid[1:])
-        sl, ic = self._coeffs_on(mids)
-        w = weight._coeffs_on(mids)[1]
-        ok = w > DENSITY_FLOOR
-        inv = np.where(ok, 1.0 / np.where(ok, w, 1.0), 0.0)
-        masked = int(np.count_nonzero(~ok & ((sl != 0.0) | (ic != 0.0))))
-        return PiecewiseAffineFunction(grid, sl * inv, ic * inv, validate=False), masked
 
     def reciprocal_step(self) -> "PiecewiseAffineFunction":
         """1/f for a step function f, zero where f <= DENSITY_FLOOR."""

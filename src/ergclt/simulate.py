@@ -30,7 +30,7 @@ from scipy.special import ndtr
 
 from .clt import Observable, VarianceProfile
 from .maps import PiecewiseLinearMap
-from .piecewise import PiecewiseAffineFunction, integrate_product, pw_sum
+from .piecewise import PiecewiseAffineFunction, pw_sum
 from .transfer import NormalizedTransfer, koopman
 
 _TWO64 = 1 << 64
@@ -343,7 +343,6 @@ def dyadic_block_norms(f: Observable, transfer_action: NormalizedTransfer, q: in
 
     Iterates are collected between dyadic marks and merged in one pass there,
     which is much cheaper than a running per-step sum."""
-    ginv = transfer_action.gstar.reciprocal_step()
     lags = transfer_action.iterates(transfer_action.weighted(f.f))
     running = None
     norms = []
@@ -356,7 +355,7 @@ def dyadic_block_norms(f: Observable, transfer_action: NormalizedTransfer, q: in
         if running is None:
             norms.append(0.0)
         else:
-            norms.append(math.sqrt(max(integrate_product([running, running, ginv]), 0.0)))
+            norms.append(running.norm_l2(transfer_action.ginv))
     return norms
 
 

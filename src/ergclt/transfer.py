@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .maps import PiecewiseLinearMap, three_branch_map
-from .piecewise import PiecewiseAffineFunction, _dot, _embedded, _sum_of_parts, integrate_product, pw_sum
+from .piecewise import (MEASURE_TOL, PiecewiseAffineFunction, _dot, _embedded, _sum_of_parts,
+                        integrate_product, pw_sum)
 
 # An iterate whose L1 norm is at most this fraction of its start's is dead:
 # it and every later iterate count as zero.
@@ -55,9 +56,8 @@ class NormalizedTransfer:
     """Transfer operator normalized by an invariant density g: f -> P(f g)/g.
 
     The density must be a step function (true for Ulam densities and for the
-    tent-density recursion), which keeps every action exact.  `masked_cells`
-    counts quotient cells suppressed because g fell to DENSITY_FLOOR or below,
-    summed over every call on this instance; it is a diagnostic only.
+    tent-density recursion), which keeps every action exact.  `ginv` is 1/g,
+    zero where g is at or below DENSITY_FLOOR.
     """
 
     def __init__(self, map_: PiecewiseLinearMap, gstar: PiecewiseAffineFunction):
@@ -65,13 +65,10 @@ class NormalizedTransfer:
             raise ValueError("the invariant density must be a step function")
         self.map = map_
         self.gstar = gstar
-        self.masked_cells = 0
+        self.ginv = gstar.reciprocal_step()
 
     def __call__(self, f: PiecewiseAffineFunction) -> PiecewiseAffineFunction:
-        pushed = frobenius_perron(self.map, f.scale_by_step(self.gstar))
-        out, masked = pushed.divide_by_step(self.gstar)
-        self.masked_cells += masked
-        return out.pruned()
+        return frobenius_perron(self.map, f.scale_by_step(self.gstar)).scale_by_step(self.ginv).pruned()
 
     # -- telescoped iteration helpers ----------------------------------
     def weighted(self, f: PiecewiseAffineFunction) -> PiecewiseAffineFunction:
@@ -152,34 +149,30 @@ def condition_report(h: PiecewiseAffineFunction, transfer_action: NormalizedTran
                      K: int = 64) -> ConditionReport:
     """Norms V_n of partial sums of transfer iterates plus decay diagnostics.
 
-    Requires h centered under the invariant measure of the action to 1e-9.
-    Norms are exact piecewise quadratures; once an iterate dies the
-    remaining V_n are constant and filled without iterating.
+    Requires h centered under the invariant measure of the action to
+    MEASURE_TOL.  Norms are exact piecewise quadratures; once an iterate dies
+    the remaining V_n are constant and filled without iterating.
     """
     if K < 8:
         raise ValueError("need K >= 8")
-    g = transfer_action.gstar
-    mean = integrate_product([h, g])
-    if abs(mean) > 1e-9:
+    mean = integrate_product([h, transfer_action.gstar])
+    if abs(mean) > MEASURE_TOL:
         raise ValueError(f"observable is not centered: ∫ h dν = {mean:.3e}")
-    ginv = g.reciprocal_step()
+    ginv = transfer_action.ginv
     sup_h = h.sup_norm()
-
-    def norm2(f):
-        return math.sqrt(max(integrate_product([f, f, ginv]), 0.0))
 
     running = transfer_action.weighted(h)   # sum of the iterates so far
     V = []
     pt2 = []
     interp = []
     for v, l1 in itertools.islice(transfer_action.iterates(running), K):
-        V.append(norm2(running))
+        V.append(running.norm_l2(ginv))
         running = pw_sum([running, v]).pruned()
-        pt2.append(norm2(v))
+        pt2.append(v.norm_l2(ginv))
         interp.append(math.sqrt(max(sup_h, 0.0) * l1))
     if len(V) < K:
         # a dead iterate fixes the partial sum
-        V.extend([norm2(running)] * (K - len(V)))
+        V.extend([running.norm_l2(ginv)] * (K - len(V)))
         pt2.append(0.0)
         interp.append(0.0)
     theta = _fit_decay_rate(np.array(pt2))

@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from ergclt import piecewise
+from ergclt import cli, piecewise
 from ergclt.cli import RunConfig, main
 
 SQRT2 = math.sqrt(2.0)
@@ -112,6 +112,13 @@ def test_usage_errors():
     assert main(["bogus"]) == 2
 
 
+def test_deep_window_density_exits_3(tmp_path, capsys):
+    """A tent density whose conjugacy assembly loses mass is a numerical
+    failure, found before any series runs."""
+    assert main(["variance", "--map", "tent", "--a", "1.004", "--out", str(tmp_path / "v")]) == 3
+    assert "lost mass" in capsys.readouterr().err
+
+
 def test_piece_budget_exits_3(tmp_path, monkeypatch, capsys):
     """An exact operation over the piece budget is a numerical failure: exit
     3, and the message gives the piece count and the budget."""
@@ -124,18 +131,59 @@ def test_piece_budget_exits_3(tmp_path, monkeypatch, capsys):
 
 def test_config_file_precedence(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("map_spec=tent\na=2.0\ngrid_n=128\nseed=5\n")
+    cfg.write_text("map_spec=tent\na=1.5\ngrid_n=128\n")
     out = str(tmp_path / "c")
     assert main(["--config", str(cfg), "density", "--grid", "64", "--out", out]) == 0
     meta = read_json(out + ".json")
     assert meta["config"]["grid_n"] == 64   # flag beats file
-    assert meta["config"]["seed"] == 5      # file beats default
+    assert meta["config"]["a"] == 1.5       # file beats default
 
 
-def test_config_file_rejects_unknown_keys(tmp_path):
+def test_config_file_rejects_unknown_keys(tmp_path, capsys):
+    """An unknown key, or a known one the command does not read."""
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("nonsense=1\n")
-    assert main(["--config", str(cfg), "density"]) == 2
+    for line in ("nonsense=1", "seed=5"):
+        cfg.write_text(line + "\n")
+        assert main(["--config", str(cfg), "density"]) == 2
+        assert "density" in capsys.readouterr().err
+
+
+# flag -> (RunConfig field, argument, resolved value)
+FLAGS = {
+    "--map": ("map_spec", "three-branch", "three_branch"),
+    "--a": ("a", "1.5", 1.5),
+    "--grid": ("grid_n", "64", 64),
+    "--steps": ("steps_n", "8", 8),
+    "--paths": ("paths", "8", 8),
+    "--seed": ("seed", "5", 5),
+    "--trunc": ("truncation_J", "8", 8),
+    "--out": ("output_path", "o", "o"),
+    "--format": ("format", "json", "json"),
+    "--only": ("only", "x", "x"),
+}
+READ_FLAGS = {
+    "density": {"--map", "--a", "--grid", "--out", "--format"},
+    "variance": {"--map", "--a", "--grid", "--trunc", "--out"},
+    "simulate": {"--map", "--a", "--grid", "--steps", "--paths", "--seed", "--trunc", "--out"},
+    "verify": {"--grid", "--seed", "--out", "--only"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(READ_FLAGS))
+def test_each_command_takes_only_the_flags_it_reads(command, monkeypatch, capsys):
+    """A flag the command does not read exits 2 and names the command and the
+    flag; a flag it reads reaches the resolved config."""
+    seen = []
+    monkeypatch.setattr(cli, "cmd_" + command, lambda config: seen.append(config) or 0)
+    for flag, (key, arg, value) in FLAGS.items():
+        if flag in READ_FLAGS[command]:
+            assert main([command, flag, arg]) == 0
+            assert getattr(seen.pop(), key) == value
+        else:
+            assert main([command, flag, arg]) == 2
+            err = capsys.readouterr().err
+            assert command in err and flag in err
+    assert not seen
 
 
 def test_verify_only_filter(capsys):

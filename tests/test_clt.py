@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from ergclt import piecewise
+from ergclt import clt, piecewise
 from ergclt.clt import (
     DivergenceError,
     _geometric_tail,
@@ -220,9 +220,9 @@ def test_scale_equivariance(c):
     assert sigma2_autocovariance(hc, sys15.map, sys15.transfer, cycle).sigma2 == pytest.approx(
         c * c * base_a, abs=1e-10)
     tb = three_branch_system()
-    base_d = variance_profile_dyadic(tb.observable, tb.map, tb.transfer, tb.components, J=6)
+    base_d = variance_profile_dyadic(tb.observable, tb.transfer, tb.components, J=6)
     hc3 = Observable(f=tb.observable.f * c, centered_wrt="three_branch")
-    scaled = variance_profile_dyadic(hc3, tb.map, tb.transfer, tb.components, J=6)
+    scaled = variance_profile_dyadic(hc3, tb.transfer, tb.components, J=6)
     for (_, v0), (_, v1) in zip(base_d.components, scaled.components):
         assert v1 == pytest.approx(c * c * v0, abs=1e-10)
 
@@ -274,7 +274,6 @@ def test_profile_three_branch_exact():
     prof = variance_profile(tb.components, tb.observable, tb.map, tb.transfer, J=16)
     assert prof.components[0] == (((0.0, 0.5),), 1.0)
     assert prof.components[1] == (((0.5, 1.0),), 4.0)
-    assert prof.value_at(0.2) == 1.0 and prof.value_at(0.8) == 4.0
 
 
 def test_profile_single_component_reduces_to_sigma2():
@@ -294,7 +293,7 @@ def test_profile_zero_observable():
 
 def test_dyadic_profile_three_branch_exact():
     tb = three_branch_system()
-    prof = variance_profile_dyadic(tb.observable, tb.map, tb.transfer, tb.components, J=10)
+    prof = variance_profile_dyadic(tb.observable, tb.transfer, tb.components, J=10)
     vals = [v for _, v in prof.components]
     assert vals == pytest.approx([1.0, 4.0], abs=1e-12)
     # all cross terms vanish, so every level partial equals the base value
@@ -304,7 +303,7 @@ def test_dyadic_profile_three_branch_exact():
 
 def test_dyadic_profile_tent2_constant_third():
     sys2 = tent_system(2.0)
-    prof = variance_profile_dyadic(sys2.observable, sys2.map, sys2.transfer, sys2.components, J=10)
+    prof = variance_profile_dyadic(sys2.observable, sys2.transfer, sys2.components, J=10)
     assert prof.components[0][1] == pytest.approx(1.0 / 3.0, abs=1e-12)
 
 
@@ -313,7 +312,7 @@ def test_dyadic_profile_converges_to_resolvent():
     system = tent_system(a)
     res = sigma2_resolvent(system.observable, system.transfer)
     span = tent_support_cycle(a).intervals[0]
-    prof = variance_profile_dyadic(system.observable, system.map, system.transfer,
+    prof = variance_profile_dyadic(system.observable, system.transfer,
                                    [SupportCycle(intervals=(span,), period=1)], J=12)
     partials = prof.level_partials[0]
     # levels are Cauchy: increments shrink roughly geometrically (ratio ~1/2)
@@ -382,6 +381,16 @@ def test_tail_fits_match_polyfit():
                 _geometric_tail(terms, None)
 
 
+def test_profile_rejects_negative_variance(monkeypatch):
+    """A component lag sum below -1e-8 raises, as in the sigma2 routes; it is
+    not clamped to 0."""
+    tb = three_branch_system()
+    lags = np.array([1.0, -0.6, 0.0])
+    monkeypatch.setattr(clt, "autocovariance_sequence", lambda *args, **kwargs: (lags, 2))
+    with pytest.raises(DivergenceError, match="negative"):
+        variance_profile(tb.components, tb.observable, tb.map, tb.transfer, J=2)
+
+
 def test_divergence_error_carries_terms():
     sys13 = tent_system(1.3)
     with pytest.raises(DivergenceError) as exc:
@@ -393,5 +402,5 @@ def test_profile_method_strings():
     tb = three_branch_system()
     prof = variance_profile(tb.components, tb.observable, tb.map, tb.transfer, J=4)
     assert prof.to_dict()["method"] == "autocov"
-    dyad = variance_profile_dyadic(tb.observable, tb.map, tb.transfer, tb.components, J=4)
+    dyad = variance_profile_dyadic(tb.observable, tb.transfer, tb.components, J=4)
     assert dyad.to_dict()["method"] == "dyadic"

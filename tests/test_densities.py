@@ -6,6 +6,7 @@ import pytest
 
 from ergclt.cli import main
 from ergclt.densities import (
+    ConvergenceError,
     detect_periodicity,
     invariant_density,
     tent_density,
@@ -91,6 +92,19 @@ def test_tent_density_normalized(a):
     g = tent_density(a, 1024)
     assert g.integral() == pytest.approx(1.0, abs=1e-6)
     assert g.intercepts.min() >= -1e-12
+
+
+@pytest.mark.parametrize("a, loses_mass", [
+    (1.003527, True), (1.006, True), (1.0095, False), (1.01, False), (1.011, False),
+])
+def test_tent_density_deep_window_mass_check(a, loses_mass):
+    """Deep windows have cells narrower than the breakpoint merge tolerance;
+    an assembly that loses mass raises instead of returning the result."""
+    if loses_mass:
+        with pytest.raises(ConvergenceError, match="lost mass"):
+            tent_density(a)
+    else:
+        assert abs(tent_density(a).integral() - 1.0) <= 1e-9
 
 
 def test_tent_density_base_case():

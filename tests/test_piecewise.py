@@ -115,16 +115,14 @@ def test_scale_and_divide_by_step():
     w = PAF.step([-1.0, 0.0, 1.0], [2.0, 0.5])
     x = rng.uniform(-1, 1, 100)
     np.testing.assert_allclose(f.scale_by_step(w)(x), f(x) * w(x), atol=1e-12)
-    q, masked = f.scale_by_step(w).divide_by_step(w)
-    assert masked == 0
+    q = f.scale_by_step(w).scale_by_step(w.reciprocal_step())
     np.testing.assert_allclose(q(x), f(x), atol=1e-12)
 
 
 def test_divide_by_step_masks_below_floor():
     f = PAF.constant(0.0, 1.0, 3.0)
     w = PAF.step([0.0, 0.5, 1.0], [1.0, 0.0])
-    q, masked = f.divide_by_step(w)
-    assert masked == 1
+    q = f.scale_by_step(w.reciprocal_step())
     assert q(0.25) == 3.0 and q(0.75) == 0.0
 
 
