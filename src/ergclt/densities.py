@@ -243,30 +243,35 @@ def tent_density(a: float, base_grid: int = 4096) -> PiecewiseAffineFunction:
     Above sqrt(2) this is the (windowed) Ulam density.  Below, the density is
     assembled exactly from the squared-parameter density via the two inverse
     conjugacy branches: scale by a/(2 x*) on the right invariant interval and
-    by 1/(2 x*) on the central one.  The recursion ends: a > 1 + 1e-6 passes
-    sqrt(2) after at most 19 squarings.  Deep windows have cells narrower
-    than the breakpoint merge tolerance, and merging them loses mass: an
-    assembled density whose mass is off by more than MEASURE_TOL raises
-    ConvergenceError with the mass error as its residual.
+    by 1/(2 x*) on the central one, one level per squaring, from the first
+    square above sqrt(2) down to a.  a > 1 + 1e-6 passes sqrt(2) after at
+    most 19 squarings.  Deep windows have cells narrower than the breakpoint
+    merge tolerance, and merging them loses mass: a level whose assembled
+    density has its mass off by more than MEASURE_TOL raises
+    ConvergenceError, naming a and that level, with the mass error as its
+    residual.
     """
     _check_tent_param(a)
-    if a > SQRT2:
-        return tent_ulam_density(a, base_grid)
-    g_sq = tent_density(squared_param(a), base_grid)
-    xs = tent_fixed_point(a)
-    parts = []
-    for i in (0, 1):
-        fwd, _ = tent_conjugacy(a, i)
-        iv = tent_invariant_interval(a, i)
-        part = g_sq.compose_affine(fwd.slope, fwd.intercept, iv.lo, iv.hi)
-        factor = a / (2.0 * xs) if i == 0 else 1.0 / (2.0 * xs)
-        parts.append(part * factor)
-    central, right = parts[1], parts[0]
-    bp = np.concatenate((central.breakpoints, right.breakpoints[1:]))
-    sl = np.concatenate((central.slopes, right.slopes))
-    ic = np.concatenate((central.intercepts, right.intercepts))
-    fn = PiecewiseAffineFunction(bp, sl, ic).embed(-1.0, 1.0).pruned()
-    mass_err = _dot(fn.breakpoints[1:] - fn.breakpoints[:-1], fn.piece_values()) - 1.0
-    if abs(mass_err) > MEASURE_TOL:
-        raise ConvergenceError(f"the tent density assembled at a={a!r} has lost mass", mass_err)
+    levels = [a]
+    while levels[-1] <= SQRT2:
+        levels.append(squared_param(levels[-1]))
+    fn = tent_ulam_density(levels.pop(), base_grid)
+    for level in reversed(levels):
+        xs = tent_fixed_point(level)
+        parts = []
+        for i in (0, 1):
+            fwd, _ = tent_conjugacy(level, i)
+            iv = tent_invariant_interval(level, i)
+            part = fn.compose_affine(fwd.slope, fwd.intercept, iv.lo, iv.hi)
+            factor = level / (2.0 * xs) if i == 0 else 1.0 / (2.0 * xs)
+            parts.append(part * factor)
+        central, right = parts[1], parts[0]
+        bp = np.concatenate((central.breakpoints, right.breakpoints[1:]))
+        sl = np.concatenate((central.slopes, right.slopes))
+        ic = np.concatenate((central.intercepts, right.intercepts))
+        fn = PiecewiseAffineFunction(bp, sl, ic).embed(-1.0, 1.0).pruned()
+        mass_err = _dot(fn.breakpoints[1:] - fn.breakpoints[:-1], fn.piece_values()) - 1.0
+        if abs(mass_err) > MEASURE_TOL:
+            raise ConvergenceError(
+                f"the tent density at a={a!r} has lost mass in the conjugacy assembly at a={level!r}", mass_err)
     return fn

@@ -16,6 +16,16 @@ onto the critical orbit after ~53 steps, which would destroy the statistics.
 The engine keeps the leading 64 bits of the binary expansion and streams
 fresh tail bits from the path's generator, which reproduces the law of exact
 orbits from stationary initial points.
+
+Both engines yield observable values, not points, and each path-step does one
+piece lookup by direct comparisons (`maps.cut_index`, O(cuts) per path-step,
+no binary search).  The bit engine merges the branch thresholds and the
+observable's breakpoints, each moved to the first 64-bit word whose point
+reaches it, into one sorted table of word cuts; the count of cuts at or below
+the word is the cell, and the cell's row holds the branch offset and sign and
+the observable's slope and intercept.  A step observable is read off the word
+through that row; the word is converted to a float only when the observable
+has a non-zero slope.
 """
 
 from __future__ import annotations
@@ -29,7 +39,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .clt import Observable, VarianceProfile
-from .maps import PiecewiseLinearMap
+from .maps import PiecewiseLinearMap, cut_index
 from .piecewise import PiecewiseAffineFunction, pw_sum
 from .transfer import NormalizedTransfer, koopman
 
@@ -109,60 +119,117 @@ def _dyadic_engine_params(map_: PiecewiseLinearMap):
     }
 
 
-def _orbit(map_: PiecewiseLinearMap, inits: np.ndarray, seed: int, n_steps: int):
-    """Yield the points x_0, ..., x_(n_steps-1) of every path's orbit, one
-    array per step; no step is taken after the last point.
+def _word_x(w: np.ndarray, lo: float, width: float) -> np.ndarray:
+    """The point lo + width * w / 2^64 that each 64-bit window word stands
+    for, rounded in the one order that the engine and the cuts share."""
+    return lo + width * (w.astype(np.float64) * 2.0**-64)
+
+
+def _word_cuts(points, lo: float, width: float) -> np.ndarray:
+    """For each point b that some word reaches, the smallest word c with
+    _word_x(c) >= b.  _word_x does not decrease in w, so a word w has
+    _word_x(w) >= b exactly when w >= c: counting such cuts at or below w
+    gives the piece that a search of the floats gives.  Each c is found by
+    bisection over that same expression; a point above every word's point
+    is left out, since no word would count it."""
+    b = np.asarray(points, dtype=float)
+    b = b[_word_x(np.array([_TWO64 - 1], dtype=np.uint64), lo, width) >= b]
+    below = np.zeros(len(b), dtype=np.uint64)  # the answer lies in [below, top]
+    top = np.full(len(b), _TWO64 - 1, dtype=np.uint64)
+    for _ in range(64):
+        mid = below + (top - below) // np.uint64(2)
+        reaches = _word_x(mid, lo, width) >= b
+        top = np.where(reaches, mid, top)
+        below = np.where(reaches, below, mid + np.uint64(1))
+    return top
+
+
+def _bit_cells(p: dict, f: PiecewiseAffineFunction):
+    """One sorted table of word cuts for the bit engine: the branch
+    thresholds and the cuts of f's inner breakpoints.  Per cell between
+    them: the branch offset, the branch sign as a word mask (all ones on a
+    slope -2 branch) and f's slope and intercept there."""
+    f_cuts = _word_cuts(f.breakpoints[1:-1], p["lo"], p["width"])
+    cuts = np.union1d(p["thresholds"], f_cuts)
+    lowest = np.concatenate((np.zeros(1, dtype=np.uint64), cuts))  # each cell's lowest word
+    branch = cut_index(p["thresholds"], lowest)
+    piece = cut_index(f_cuts, lowest)
+    mask = np.where(p["neg"], np.uint64(_TWO64 - 1), np.uint64(0))
+    return cuts, p["offset"][branch], mask[branch], f.slopes[piece], f.intercepts[piece]
+
+
+def _orbit(map_: PiecewiseLinearMap, f: PiecewiseAffineFunction, inits: np.ndarray,
+           seed: int, n_steps: int):
+    """Yield f(x_0), ..., f(x_(n_steps-1)) along every path's orbit, a new
+    array per step; no step is taken after the last value.  f is read with
+    its end pieces extended past its span.
 
     Maps accepted by _dyadic_engine_params run the sliding-window bit engine,
     which is exact in distribution.  Others run map_.step in double
-    precision, where rounding acts as benign pseudo-orbit noise.
+    precision, where rounding acts as benign pseudo-orbit noise.  Each
+    path-step finds its piece with one `cut_index` lookup, O(cuts).  A step
+    observable (every slope of f zero) yields its intercept, and the bit
+    engine then never forms x: for finite x that is the value of 0*x + c up
+    to the sign of a zero, which no partial sum started at +0.0 can see.
     """
+    affine = bool(np.any(f.slopes))
     p = _dyadic_engine_params(map_)
-    x = np.array(inits, dtype=float)
-    if p is not None:
-        bits = _rng(seed, _STREAM_BITS)
-        u0 = np.clip((x - p["lo"]) / p["width"], 0.0, 1.0 - 2.0**-53)
-        # A double carries 53 random bits; the bits below it in the window are
-        # a deterministic zero block that every orbit would visit around step
-        # 53..64 (a spurious excursion to the corner).  Randomize them; this
-        # perturbs the initial point by less than one float ulp.
-        low = bits.integers(0, _TWO64, size=len(x), dtype=np.uint64) & np.uint64(0x7FF)
-        w = (u0 * 2.0**64).astype(np.uint64) ^ low
-        flip = np.zeros(len(x), dtype=np.uint64)
+    if p is None:
+        inner, sl, ic = f.breakpoints[1:-1], f.slopes, f.intercepts
+        x = np.array(inits, dtype=float)
+        for k in range(n_steps):
+            if not affine:
+                yield ic.take(cut_index(inner, x))
+            elif f.num_pieces == 1:
+                yield sl[0] * x + ic[0]
+            else:
+                piece = cut_index(inner, x)
+                yield sl.take(piece) * x + ic.take(piece)
+            if k + 1 == n_steps:
+                return
+            x = map_.step(x)
+        return
+
+    cuts, offset, mask, slope, intercept = _bit_cells(p, f)
+    has_neg = bool(np.any(mask))
+    one = np.uint64(1)
+    bits = _rng(seed, _STREAM_BITS)
+    u0 = np.clip((np.asarray(inits, dtype=float) - p["lo"]) / p["width"], 0.0, 1.0 - 2.0**-53)
+    # A double carries 53 random bits; the bits below it in the window are
+    # a deterministic zero block that every orbit would visit around step
+    # 53..64 (a spurious excursion to the corner).  Randomize them; this
+    # perturbs the initial point by less than one float ulp.
+    low = bits.integers(0, _TWO64, size=len(u0), dtype=np.uint64) & np.uint64(0x7FF)
+    w = (u0 * 2.0**64).astype(np.uint64) ^ low
+    flip = np.zeros(len(w), dtype=np.uint64)
+    bit = np.empty(len(w), dtype=np.uint64)
     for k in range(n_steps):
-        if p is not None:
-            x = p["lo"] + p["width"] * (w.astype(np.float64) * 2.0**-64)
-        yield x
+        cell = cut_index(cuts, w)
+        if not affine:
+            yield intercept.take(cell)
+        elif f.num_pieces == 1:
+            yield slope[0] * _word_x(w, p["lo"], p["width"]) + intercept[0]
+        else:
+            yield slope.take(cell) * _word_x(w, p["lo"], p["width"]) + intercept.take(cell)
         if k + 1 == n_steps:
             return
-        if p is None:
-            x = map_.step(x)
-            continue
         if k % 64 == 0:
-            row = bits.integers(0, _TWO64, size=len(x), dtype=np.uint64)
-        idx = np.searchsorted(p["thresholds"], w, side="right")
-        bit = (row >> np.uint64(63 - k % 64)) & np.uint64(1)
-        bit ^= flip
-        doubled = (w << np.uint64(1)) | bit
-        off = p["offset"][idx]
-        neg = p["neg"][idx]
-        w = np.where(neg, off - doubled - np.uint64(1), doubled + off)
-        flip = np.where(neg, flip ^ np.uint64(1), flip)
-
-
-def _evaluator(f: PiecewiseAffineFunction):
-    bp, sl, ic = f.breakpoints, f.slopes, f.intercepts
-    last = len(sl) - 1
-    if last == 0:
-        s0, c0 = sl[0], ic[0]
-        return lambda x: s0 * x + c0
-    inner = bp[1:-1]
-
-    def ev(x):
-        idx = inner.searchsorted(x, side="right")  # in [0, last]: no clipping needed
-        return sl[idx] * x + ic[idx]
-
-    return ev
+            row = bits.integers(0, _TWO64, size=len(w), dtype=np.uint64)
+        np.right_shift(row, np.uint64(63 - k % 64), out=bit)
+        np.bitwise_and(bit, one, out=bit)
+        np.left_shift(w, one, out=w)
+        if has_neg:
+            # on a slope -2 branch the new word is offset - doubled - 1, which
+            # is offset + (doubled ^ mask) mod 2^64, and the tail bits flip
+            np.bitwise_xor(bit, flip, out=bit)
+            np.bitwise_or(w, bit, out=w)
+            m = mask.take(cell)
+            np.bitwise_xor(w, m, out=w)
+            np.bitwise_and(m, one, out=m)
+            np.bitwise_xor(flip, m, out=flip)
+        else:
+            np.bitwise_or(w, bit, out=w)
+        np.add(w, offset.take(cell), out=w)
 
 
 # ----------------------------------------------------------------------
@@ -200,14 +267,13 @@ def partial_sum_paths(map_: PiecewiseLinearMap, h: Observable, n: int, t_grid,
     if n < 1:
         raise ValueError("need n >= 1")
     t_grid = np.asarray(t_grid, dtype=float)
-    if np.any(t_grid < 0) or np.any(t_grid > 1):
-        raise ValueError("grid times must lie in [0, 1]")
+    if not np.all((0.0 <= t_grid) & (t_grid <= 1.0)):
+        raise ValueError("grid times must lie in [0, 1] (NaN does not)")
     inits = np.asarray(inits, dtype=float)
-    if np.any(inits < map_.domain.lo) or np.any(inits > map_.domain.hi):
-        raise ValueError("initial point outside the map domain")
+    if not np.all((map_.domain.lo <= inits) & (inits <= map_.domain.hi)):
+        raise ValueError("initial point outside the map domain (or NaN)")
     checkpoints = np.floor(n * t_grid + 1e-12).astype(int)
     out = np.zeros((len(inits), len(t_grid)))
-    heval = _evaluator(h.f)
     scale = 1.0 / math.sqrt(n)
     by_step: dict[int, list[int]] = {}
     for col, k in enumerate(checkpoints):
@@ -215,8 +281,8 @@ def partial_sum_paths(map_: PiecewiseLinearMap, h: Observable, n: int, t_grid,
             by_step.setdefault(int(k), []).append(col)
     s = np.zeros(len(inits))
     last_k = max(by_step) if by_step else 0
-    for j, x in enumerate(_orbit(map_, inits, seed, last_k), start=1):
-        s += heval(x)
+    for j, value in enumerate(_orbit(map_, h.f, inits, seed, last_k), start=1):
+        s += value
         for col in by_step.get(j, ()):
             out[:, col] = s * scale
     return CltSample(n=n, t_grid=t_grid, paths=out)
@@ -383,15 +449,14 @@ def maximal_inequality_sweep(map_: PiecewiseLinearMap, f: Observable,
     mart = (f.f - koopman(map_, ptf)).norm_l2(transfer_action.gstar)
 
     inits = sample_from_density(nu, trials, seed)
-    orbit = _orbit(map_, inits, seed, ns[-1])
-    heval = _evaluator(f.f)
+    orbit = _orbit(map_, f.f, inits, seed, ns[-1])
     s = np.zeros(trials)
     m = np.zeros(trials)
     reports = []
     done = 0
     for n in ns:
-        for x in itertools.islice(orbit, n - done):
-            s += heval(x)
+        for value in itertools.islice(orbit, n - done):
+            s += value
             np.maximum(m, np.abs(s), out=m)
         done = n
         q = n.bit_length()  # floor(log2(n)) + 1, so 2^(q-1) <= n < 2^q

@@ -1,5 +1,5 @@
-"""Hypothesis strategies for random piecewise-affine functions, shared by
-the property tests."""
+"""Hypothesis strategies for random piecewise-affine functions, maps and
+orbit inputs, shared by the property tests."""
 
 import numpy as np
 from hypothesis import strategies as st
@@ -81,3 +81,34 @@ def maps_and_functions_through(draw):
         map_ = three_branch_map() if kind == "three-branch" else SHORT_IMAGE_MAP
     points = sorted({x for (lo, hi, s, c) in map_.branch_tuples() for x in (lo, hi, s * lo + c, s * hi + c)})
     return map_, draw(functions_through(points, map_.domain.lo, map_.domain.hi))
+
+
+@st.composite
+def observables_on(draw, map_):
+    """A random step or affine function on map_'s domain, whose grid may hold
+    the branch edges and near twins."""
+    edges = sorted({x for (lo, hi, _, _) in map_.branch_tuples() for x in (lo, hi)})
+    f = draw(functions_through(edges, map_.domain.lo, map_.domain.hi))
+    return PAF.step(f.breakpoints, f.intercepts) if draw(st.booleans()) else f
+
+
+@st.composite
+def orbit_cases(draw):
+    """A map for the orbit engines (tent a = 2 or the three-branch map, which
+    run the bit engine, or a tent with a in (1, 2), which runs the float
+    engine), a function from observables_on and initial points.  Some
+    initial points sit exactly on a cut of map or function and some one ulp
+    to either side of one."""
+    kind = draw(st.sampled_from(["tent2", "three-branch", "tent"]))
+    if kind == "tent":
+        map_ = tent_map(draw(st.floats(1.0 + 2e-6, 2.0, exclude_max=True)))
+    else:
+        map_ = tent_map(2.0) if kind == "tent2" else three_branch_map()
+    lo, hi = map_.domain.lo, map_.domain.hi
+    f = draw(observables_on(map_))
+    edges = [x for (a, b, _, _) in map_.branch_tuples() for x in (a, b)]
+    cuts = [x for x in np.concatenate([edges, f.breakpoints]) if lo <= x <= hi]
+    on_cuts = draw(st.lists(st.sampled_from(cuts), max_size=6))
+    near = [float(np.clip(np.nextafter(x, d), lo, hi)) for x in on_cuts for d in (-np.inf, np.inf)]
+    free = draw(st.lists(st.floats(lo, hi), min_size=1, max_size=8))
+    return map_, f, np.array(free + on_cuts + near)

@@ -99,10 +99,12 @@ def test_tent_density_normalized(a):
 ])
 def test_tent_density_deep_window_mass_check(a, loses_mass):
     """Deep windows have cells narrower than the breakpoint merge tolerance;
-    an assembly that loses mass raises instead of returning the result."""
+    an assembly that loses mass raises instead of returning the result, and
+    says which parameter was asked for."""
     if loses_mass:
-        with pytest.raises(ConvergenceError, match="lost mass"):
+        with pytest.raises(ConvergenceError, match="lost mass") as err:
             tent_density(a)
+        assert f"a={a!r} " in str(err.value)  # the parameter asked for, not an inner level
     else:
         assert abs(tent_density(a).integral() - 1.0) <= 1e-9
 

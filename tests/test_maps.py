@@ -4,10 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import references as ref
 from ergclt.maps import (
     Interval,
     PiecewiseLinearMap,
+    cut_index,
     squared_param,
     tent_conjugacy,
     tent_fixed_point,
@@ -17,6 +21,8 @@ from ergclt.maps import (
     tent_window_exponent,
     three_branch_map,
 )
+
+from strategies import SHORT_IMAGE_MAP
 
 SQRT2 = math.sqrt(2.0)
 
@@ -64,6 +70,9 @@ def test_evaluate_domain_error():
         tent_map(2.0)(1.5)
     with pytest.raises(ValueError):
         three_branch_map()(-0.1)
+    for bad in (np.nan, [0.3, np.nan]):
+        with pytest.raises(ValueError, match="outside the map domain"):
+            three_branch_map()(bad)
 
 
 @pytest.mark.parametrize("a,expected", [(2.0, 1), (1.5, 1), (1.3, 2), (1.25, 2), (1.1, 4), (1.06, 8)])
@@ -182,3 +191,27 @@ def test_branch_index_and_step_clamp_to_the_domain():
     assert t.branch_index(x).tolist() == [0, 0, 1, 1, 2, 2, 2]
     m = PiecewiseLinearMap(Interval(0.0, 1.0), [(Interval(0.0, 1.0), 1.0 + 1e-9, -5e-10)])
     assert m.step(np.array([0.0, 0.5, 1.0])).tolist() == [0.0, (1.0 + 1e-9) * 0.5 - 5e-10, 1.0]
+
+
+@given(st.sampled_from(["tent", "three-branch", "short-image"]), st.floats(1.0 + 2e-6, 2.0), st.data())
+def test_property_branch_index_matches_searchsorted(kind, a, data):
+    """Counting the inner edges at or below a point picks the branch that
+    the binary search over all edges picked, on edges, one ulp from them and
+    past either end of the domain."""
+    map_ = {"tent": tent_map(a), "three-branch": three_branch_map(), "short-image": SHORT_IMAGE_MAP}[kind]
+    edges = [x for (lo, hi, _, _) in map_.branch_tuples() for x in (lo, hi)]
+    on = data.draw(st.lists(st.sampled_from(edges), max_size=6))
+    x = np.array(on + [float(np.nextafter(e, d)) for e in on for d in (-np.inf, np.inf)]
+                 + data.draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=8)))
+    assert map_.branch_index(x).tolist() == ref.branch_index(map_, x).tolist()
+    assert map_.step(x).tobytes() == ref.step(map_, x).tobytes()
+
+
+def test_cut_index_counts_in_floats_and_words():
+    x = np.array([-1.0, 0.25, 0.3, 0.75, 2.0, np.nan])
+    assert cut_index(np.array([0.25, 0.25, 0.75]), x).tolist() == [0, 2, 2, 3, 3, 0]
+    assert cut_index(np.array([]), x).tolist() == [0] * 6
+    w = np.array([0, 2**62 - 1, 2**62, 2**64 - 1], dtype=np.uint64)
+    assert cut_index(np.array([2**62, 2**63], dtype=np.uint64), w).tolist() == [0, 0, 1, 2]
+    many = np.arange(300.0)
+    assert cut_index(many, np.array([-1.0, 0.0, 299.0, 1e9])).tolist() == [0, 1, 300, 300]

@@ -3,11 +3,16 @@
 import itertools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.special import ndtr
 
+import references as ref
+from ergclt import simulate
 from ergclt.clt import Observable, tent_system, three_branch_system, variance_profile
 from ergclt.maps import tent_map, tent_support_cycle, three_branch_map
 from ergclt.piecewise import PiecewiseAffineFunction as PAF
@@ -16,9 +21,10 @@ from ergclt.simulate import (
     _STREAM_BITS,
     _TWO64,
     _dyadic_engine_params,
-    _evaluator,
     _orbit,
     _rng,
+    _word_cuts,
+    _word_x,
     ks_statistic,
     limit_law_check,
     maximal_inequality_sweep,
@@ -26,6 +32,8 @@ from ergclt.simulate import (
     partial_sum_paths,
     sample_from_density,
 )
+
+from strategies import observables_on, orbit_cases
 
 
 def two_sample_ks(x, y):
@@ -108,13 +116,14 @@ def test_dyadic_engine_detection():
 
 
 def test_stationarity_along_orbit():
-    """Distribution of h at step n/2 matches the initial distribution."""
+    """Distribution of h at step n/2 matches the initial distribution (h is
+    the coordinate less its mean, so the KS distance is that of the points)."""
     sys2 = tent_system(2.0)
     n = 512
     inits = sample_from_density(sys2.density, 10000, 11)
-    points = _orbit(sys2.map, inits, 11, n)
-    start = next(points)
-    mid = next(itertools.islice(points, n // 2 - 1, None))
+    values = _orbit(sys2.map, sys2.observable.f, inits, 11, n)
+    start = next(values)
+    mid = next(itertools.islice(values, n // 2 - 1, None))
     assert two_sample_ks(start, mid) <= 0.03
 
 
@@ -129,7 +138,7 @@ def reference_partial_sums(map_, h, n, t_grid, inits, seed):
     words = _rng(seed, _STREAM_BITS).integers(0, _TWO64, size=(blocks + 1, len(inits)), dtype=np.uint64)
     w ^= words[0] & np.uint64(0x7FF)
     words = words[1:]
-    heval = _evaluator(h.f)
+    heval = ref.evaluator(h.f)
     checkpoints = np.floor(n * np.asarray(t_grid) + 1e-12).astype(int)
     out = np.zeros((len(inits), len(t_grid)))
     s = np.zeros(len(inits))
@@ -173,6 +182,89 @@ def test_bit_engine_memory_bounded_in_steps():
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] < 64 * 1024
+
+
+@given(orbit_cases(), st.integers(1, 140), st.integers(0, 2**32))
+def test_property_partial_sums_match_reference(case, n, seed):
+    """Counted cuts in word space (bit engine) or float space (float engine)
+    and intercepts read off the cell give the bytes of binary search on the
+    float points, for steps and affine functions alike."""
+    map_, f, inits = case
+    h = Observable(f=f, centered_wrt="none")
+    t_grid = [0.0, 0.3, 0.5, 1.0]
+    got = partial_sum_paths(map_, h, n, t_grid, inits, seed).paths
+    with mock.patch.object(simulate, "_orbit", ref.orbit):
+        want = partial_sum_paths(map_, h, n, t_grid, inits, seed).paths
+    assert got.tobytes() == want.tobytes()
+
+
+_MAXIMAL_SYSTEMS = {"three-branch": three_branch_system, "tent2": lambda: tent_system(2.0),
+                    "tent1.3": lambda: tent_system(1.3), "tent1.8": lambda: tent_system(1.8)}
+
+
+@given(st.sampled_from(sorted(_MAXIMAL_SYSTEMS)), st.data())
+def test_property_maximal_reports_match_reference(name, data):
+    """Every report of a maximal-inequality sweep has the repr it had with
+    the searchsorted engines, for random centered steps and affine
+    functions."""
+    s = _MAXIMAL_SYSTEMS[name]()
+    map_ = s.map
+    lo, hi = map_.domain.lo, map_.domain.hi
+    f = data.draw(observables_on(map_)).embed(lo, hi)
+    h = Observable(f=f - PAF.constant(lo, hi, integrate_product([f, s.density])), centered_wrt=name)
+    ns = data.draw(st.lists(st.integers(1, 20), min_size=1, max_size=3))
+    seed = data.draw(st.integers(0, 2**32))
+    got = maximal_inequality_sweep(map_, h, s.transfer, s.density, ns, 50, seed)
+    with mock.patch.object(simulate, "_orbit", ref.orbit):
+        want = maximal_inequality_sweep(map_, h, s.transfer, s.density, ns, 50, seed)
+    assert repr(got) == repr(want)
+
+
+@given(st.sampled_from([(0.0, 1.0), (-1.0, 2.0)]), st.data())
+def test_word_cuts_bracket_each_point(domain, data):
+    """The cut c of a point b is the first word whose point reaches b: the
+    word c - 1 lies below b and the word c at or above it."""
+    lo, hi = domain
+    width = hi - lo
+    b = data.draw(st.one_of(st.floats(lo, hi), st.sampled_from([lo, hi, lo + width / 4, (lo + hi) / 2])))
+    b = float(np.nextafter(b, data.draw(st.sampled_from([b, -np.inf, np.inf]))))  # b or a neighbour
+    cuts = _word_cuts([b], lo, width)
+    top = _word_x(np.array([_TWO64 - 1], dtype=np.uint64), lo, width)[0]
+    if b > top:
+        assert len(cuts) == 0
+        return
+    c = int(cuts[0])
+    assert _word_x(np.array([c], dtype=np.uint64), lo, width)[0] >= b
+    if c > 0:
+        assert _word_x(np.array([c - 1], dtype=np.uint64), lo, width)[0] < b
+
+
+@pytest.mark.parametrize("system", [lambda: tent_system(2.0), three_branch_system, lambda: tent_system(1.3)],
+                         ids=["tent2", "three_branch", "tent1.3"])
+@pytest.mark.parametrize("kind", ["own", "step", "affine"])
+def test_orbit_yields_new_arrays(system, kind):
+    """A value array, once yielded, is not written by later steps, so a
+    consumer may keep it: for the system's observable, a step function and a
+    three-piece affine function."""
+    s = system()
+    bp = [s.map.domain.lo, 0.1, 0.6, s.map.domain.hi]
+    f = {"own": s.observable.f, "step": PAF.step(bp, [1.0, -2.0, 0.5]),
+         "affine": PAF(bp, [1.0, 0.0, -1.0], [0.5, 1.0, 2.0])}[kind]
+    inits = sample_from_density(s.density, 200, 71)
+    kept, copies = [], []
+    for value in _orbit(s.map, f, inits, 71, 130):
+        kept.append(value)
+        copies.append(value.copy())
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(kept, copies))
+
+
+def test_nan_inputs_rejected():
+    """NaN fails every domain check: as an initial point and as a grid time."""
+    tb = three_branch_system()
+    with pytest.raises(ValueError, match="outside the map domain"):
+        partial_sum_paths(tb.map, tb.observable, 8, [1.0], np.array([0.3, np.nan]), 0)
+    with pytest.raises(ValueError, match="grid times"):
+        partial_sum_paths(tb.map, tb.observable, 8, [0.5, np.nan], np.array([0.3]), 0)
 
 
 def test_csv_round_trip(tmp_path):
