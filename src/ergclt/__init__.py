@@ -2,6 +2,7 @@
 for piecewise-linear interval maps."""
 
 from .clt import (
+    ConditionReport,
     DivergenceError,
     MapSystem,
     Observable,
@@ -9,6 +10,7 @@ from .clt import (
     VarianceProfile,
     autocovariance_sequence,
     blocked_observable,
+    condition_report,
     sigma2_autocovariance,
     sigma2_resolvent,
     tent_mean,
@@ -53,13 +55,6 @@ from .simulate import (
     partial_sum_paths,
     sample_from_density,
 )
-from .transfer import (
-    ConditionReport,
-    NormalizedTransfer,
-    condition_report,
-    frobenius_perron,
-    koopman,
-    three_branch_transfer,
-)
+from .transfer import NormalizedTransfer, frobenius_perron, koopman
 
 __version__ = "0.1.0"

@@ -19,6 +19,7 @@ from scipy.special import ndtr
 
 from .clt import (
     Observable,
+    condition_report,
     sigma2_autocovariance,
     sigma2_resolvent,
     tent_mean,
@@ -46,7 +47,7 @@ from .simulate import (
     partial_sum_paths,
     sample_from_density,
 )
-from .transfer import condition_report, frobenius_perron, koopman
+from .transfer import frobenius_perron, koopman
 
 DEFAULT_SEED = 1729
 
@@ -96,7 +97,7 @@ def crit_nonergodic_eta(seed: int = DEFAULT_SEED) -> CriterionResult:
     tb = three_branch_system()
     image = frobenius_perron(three_branch_map(), tb.observable.f)
     zero_err = image.sup_norm()
-    prof_auto = variance_profile(tb.components, tb.observable, tb.map, tb.transfer, J=32)
+    prof_auto = variance_profile(tb.observable, tb.transfer, tb.components, J=32)
     prof_dyad = variance_profile_dyadic(tb.observable, tb.transfer, tb.components, J=8)
     errs = []
     for prof in (prof_auto, prof_dyad):
@@ -115,7 +116,7 @@ def crit_limit_law_mixture(seed: int = DEFAULT_SEED) -> CriterionResult:
     tb = three_branch_system()
     inits = sample_from_density(tb.density, 4000, seed)
     sample = partial_sum_paths(tb.map, tb.observable, 4096, [1.0], inits, seed)
-    prof = variance_profile(tb.components, tb.observable, tb.map, tb.transfer, J=32)
+    prof = variance_profile(tb.observable, tb.transfer, tb.components, J=32)
     reports = limit_law_check(sample, prof, inits)
     stats = [r.ks_stat for r in reports]
     ok = all(s <= 0.05 for s in stats)
@@ -304,7 +305,7 @@ def crit_condition(seed: int = DEFAULT_SEED) -> CriterionResult:
     ok = True
     ratios = []
     for K in (64, 256, 1024):
-        rep = condition_report(sys2.observable.f, sys2.transfer, K=K)
+        rep = condition_report(sys2.observable, sys2.transfer, K=K)
         const_err = max(abs(v - norm_h2) for v in rep.V)
         ratios.append(rep.series_partial[-1] / rep.dyadic_partial[-1])
         ok = ok and const_err <= 1e-12
@@ -315,9 +316,9 @@ def crit_condition(seed: int = DEFAULT_SEED) -> CriterionResult:
 
     subadd_worst = -math.inf
     for rep in (
-        condition_report(sys2.observable.f, sys2.transfer, K=64),
-        condition_report(tb.observable.f, tb.transfer, K=64),
-        condition_report(tent_system(1.5).observable.f, tent_system(1.5).transfer, K=24),
+        condition_report(sys2.observable, sys2.transfer, K=64),
+        condition_report(tb.observable, tb.transfer, K=64),
+        condition_report(tent_system(1.5).observable, tent_system(1.5).transfer, K=24),
     ):
         V = rep.V
         for n in range(1, len(V) + 1):

@@ -90,8 +90,10 @@ class RunConfig:
             raise ValueError("steps must lie in [1, 2^22]")
         if not 1 <= self.paths <= 10**6:
             raise ValueError("paths must lie in [1, 10^6]")
-        if self.truncation_J < 0:
-            raise ValueError("truncation must be >= 0")
+        if not 0 <= self.truncation_J <= 2**16:
+            raise ValueError("truncation must lie in [0, 65536]")
+        if not 0 <= self.dyadic_levels <= 16:
+            raise ValueError("dyadic_levels must lie in [0, 16]")
         if self.format not in ("csv", "json"):
             raise ValueError("format must be csv or json")
 
@@ -125,7 +127,6 @@ def _build_map(config: RunConfig):
 
 
 def cmd_density(config: RunConfig) -> int:
-    config.validate()
     map_ = _build_map(config)
     op = ulam_matrix(map_, config.grid_n)
     density, info = invariant_density(op, return_info=True)
@@ -155,12 +156,10 @@ def cmd_density(config: RunConfig) -> int:
 
 
 def cmd_variance(config: RunConfig) -> int:
-    config.validate()
     body: dict = {}
     if config.map_spec == "three_branch":
         tb = three_branch_system()
-        prof = variance_profile(tb.components, tb.observable, tb.map, tb.transfer,
-                                J=config.truncation_J)
+        prof = variance_profile(tb.observable, tb.transfer, tb.components, J=config.truncation_J)
         dyad = variance_profile_dyadic(tb.observable, tb.transfer, tb.components, J=config.dyadic_levels)
         body["variance_profile"] = prof.to_dict()
         body["variance_profile_dyadic"] = dyad.to_dict()
@@ -192,7 +191,6 @@ def cmd_variance(config: RunConfig) -> int:
 
 
 def cmd_simulate(config: RunConfig) -> int:
-    config.validate()
     if config.map_spec == "three_branch":
         system = three_branch_system()
     else:
@@ -202,8 +200,7 @@ def cmd_simulate(config: RunConfig) -> int:
     sample = partial_sum_paths(system.map, system.observable, config.steps_n, t_grid,
                                inits, config.seed)
     sample.to_csv(config.output_path + ".csv")
-    prof = variance_profile(system.components, system.observable, system.map, system.transfer,
-                            J=config.truncation_J)
+    prof = variance_profile(system.observable, system.transfer, system.components, J=config.truncation_J)
     reports = limit_law_check(sample, prof, inits)
     body = {
         "variance_profile": prof.to_dict(),
@@ -293,6 +290,7 @@ def main(argv=None) -> int:
         return 2
     try:
         config = _resolve_config(args)
+        config.validate()
         handler = {
             "density": cmd_density,
             "variance": cmd_variance,

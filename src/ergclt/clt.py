@@ -1,13 +1,15 @@
 """Observables and the long-run variance of scaled partial sums.
 
-Three independent routes to the same quantity are implemented: the
-resolvent series 2∫ h (Σ P_T^n h) dν − ∫ h² dν, the autocovariance series
-restricted to one interval of the support cycle, and (for tent maps below
-sqrt(2)) the closed-form recursion that rescales the variance of the
-squared-parameter map.  Non-ergodic maps get a piecewise-constant variance
-profile over the invariant components instead of a single constant, either
-from the per-component autocovariance series or from the dyadic
-partial-sum series.
+This is the one module that turns transfer iterates into numbers.  Three
+independent routes to the same quantity are implemented: the resolvent
+series 2∫ h (Σ P_T^n h) dν − ∫ h² dν, the autocovariance series restricted
+to one interval of the support cycle, and (for tent maps below sqrt(2)) the
+closed-form recursion that rescales the variance of the squared-parameter
+map.  Non-ergodic maps get a piecewise-constant variance profile over the
+invariant components instead of a single constant, either from the
+per-component autocovariance series or from the dyadic partial-sum series.
+The condition report gives the norms of the partial sums of iterates behind
+the summability condition Σ n^(-3/2) ‖Σ_(k<n) P_T^k h‖₂ < ∞.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ from .maps import (
     tent_window_exponent,
     three_branch_map,
 )
-from .piecewise import MEASURE_TOL, PiecewiseAffineFunction, integrate_product, pw_sum
-from .transfer import NormalizedTransfer, _fit_slope, koopman, three_branch_transfer
+from .piecewise import MEASURE_TOL, PiecewiseAffineFunction, _dot, integrate_product, pw_sum
+from .transfer import NormalizedTransfer, koopman
 
 
 class DivergenceError(RuntimeError):
@@ -164,6 +166,12 @@ def autocovariance_sequence(h: Observable, transfer_action: NormalizedTransfer, 
     return np.array(terms), exhausted
 
 
+def _fit_slope(x: np.ndarray, y: np.ndarray) -> float:
+    """Least-squares slope of y against x in closed form, Σ(x−x̄)(y−ȳ) / Σ(x−x̄)²."""
+    dx = x - x.mean()
+    return _dot(dx, y - y.mean()) / _dot(dx, dx)
+
+
 def _geometric_tail(terms: np.ndarray, exhausted) -> float:
     """Tail bound for the dropped lags from a geometric fit of |terms|.
 
@@ -228,7 +236,7 @@ def sigma2_autocovariance(h: Observable, map_: PiecewiseLinearMap, transfer_acti
     return _series_estimate(terms, exhausted, J, r, "autocov")
 
 
-def tent_sigma_recursion(a: float, base: VarianceEstimate | float) -> float:
+def tent_sigma_recursion(a: float, base: VarianceEstimate) -> float:
     """Rescale the base-window deviation sigma(h_b), b = a^(2^m), down to sigma(h_a).
 
     The factor is a(a-1) / (sqrt(2^m) b (b-1)) times the product of the
@@ -237,7 +245,7 @@ def tent_sigma_recursion(a: float, base: VarianceEstimate | float) -> float:
     m = tent_window_exponent(a)
     if m < 1:
         raise ValueError(f"a={a} is already in the base window (a > sqrt(2))")
-    sigma_base = math.sqrt(base.sigma2) if isinstance(base, VarianceEstimate) else float(base)
+    sigma_base = math.sqrt(base.sigma2)
     b = a ** (2**m)
     prod = 1.0
     for k in range(m):
@@ -249,27 +257,28 @@ def tent_sigma_recursion(a: float, base: VarianceEstimate | float) -> float:
 # non-ergodic variance profiles
 # ----------------------------------------------------------------------
 
-def variance_profile(components: list[SupportCycle], h: Observable, map_: PiecewiseLinearMap,
-                     transfer_action: NormalizedTransfer, J: int = 64) -> VarianceProfile:
+def _component_mass(gstar: PiecewiseAffineFunction, pairs) -> float:
+    mass = sum(gstar.integral(lo, hi) for (lo, hi) in pairs)
+    if mass <= 0:
+        raise ValueError("invariant component carries no mass")
+    return mass
+
+
+def variance_profile(h: Observable, transfer_action: NormalizedTransfer,
+                     components: list[SupportCycle], J: int = 64) -> VarianceProfile:
     """Piecewise-constant limiting variance: on each ergodic component, the
-    normalized autocovariance series of the globally blocked observable."""
+    autocovariance series of the globally blocked observable, scaled by the
+    component's period over its invariant mass."""
     h.check_centered(transfer_action.gstar)
-    r = 1
-    for comp in components:
-        r *= comp.period
-    hr = blocked_observable(h, map_, r)
+    r = math.prod(comp.period for comp in components)
+    hr = blocked_observable(h, transfer_action.map, r)
     out = []
     for comp in components:
-        first = comp.intervals[0]
-        mass = sum(transfer_action.gstar.integral(iv.lo, iv.hi) for iv in comp.intervals)
-        if mass <= 0:
-            raise ValueError("component carries no invariant mass")
-        terms, exhausted = autocovariance_sequence(
-            hr, transfer_action, J, step=r, window=[(first.lo, first.hi)]
-        )
-        _geometric_tail(terms, exhausted)  # raises on divergence diagnostics
-        value = float(comp.period / mass * (terms[0] + 2.0 * terms[1:].sum()))
-        out.append((comp.as_pairs(), _clamp_sigma2(value, terms)))
+        pairs = comp.as_pairs()
+        mass = _component_mass(transfer_action.gstar, pairs)
+        terms, exhausted = autocovariance_sequence(hr, transfer_action, J, step=r, window=pairs[:1])
+        est = _series_estimate(terms, exhausted, J, comp.period / mass, "autocov")
+        out.append((pairs, est.sigma2))
     return VarianceProfile(components=out, method="autocov")
 
 
@@ -291,9 +300,7 @@ def variance_profile_dyadic(h: Observable, transfer_action: NormalizedTransfer,
     masses = np.empty(ncomp)
     base = np.empty(ncomp)
     for i, pairs in enumerate(supports):
-        masses[i] = sum(transfer_action.gstar.integral(lo, hi) for (lo, hi) in pairs)
-        if masses[i] <= 0:
-            raise ValueError("invariant component carries no mass")
+        masses[i] = _component_mass(transfer_action.gstar, pairs)
         base[i] = sum(integrate_product([h.f, h.f, transfer_action.gstar], lo, hi)
                       for (lo, hi) in pairs) / masses[i]
     lags = itertools.islice(transfer_action.iterates(transfer_action.weighted(h.f)), max_lag)
@@ -313,6 +320,58 @@ def variance_profile_dyadic(h: Observable, transfer_action: NormalizedTransfer,
             partials[i].append(float(values[i]))
     comps = [(pairs, _clamp_sigma2(float(values[i]), partials[i])) for i, pairs in enumerate(supports)]
     return VarianceProfile(components=comps, method="dyadic", level_partials=partials)
+
+
+# ----------------------------------------------------------------------
+# the summability condition
+# ----------------------------------------------------------------------
+
+@dataclass
+class ConditionReport:
+    """Summability diagnostics for the dyadic/full series of iterate norms.
+
+    V[n-1] is the L2(nu) norm of the n-term partial sum of normalized-operator
+    iterates; the two partial-sum arrays track the full series sum n^(-3/2) V_n
+    and its dyadic counterpart sum 2^(-j/2) V_{2^j}, which bound each other.
+    """
+
+    K: int
+    V: list[float]
+    series_partial: list[float]
+    dyadic_partial: list[float]
+
+
+def condition_report(h: Observable, transfer_action: NormalizedTransfer, K: int = 64) -> ConditionReport:
+    """Norms V_n of partial sums of transfer iterates of a centered h, and the
+    two series they feed.
+
+    Norms are exact piecewise quadratures; once an iterate dies the
+    remaining V_n are constant and filled without iterating.
+    """
+    if K < 8:
+        raise ValueError("need K >= 8")
+    h.check_centered(transfer_action.gstar)
+    ginv = transfer_action.ginv
+
+    running = transfer_action.weighted(h.f)   # sum of the iterates so far
+    V = []
+    for v, _ in itertools.islice(transfer_action.iterates(running), K):
+        V.append(running.norm_l2(ginv))
+        running = pw_sum([running, v]).pruned()
+    if len(V) < K:
+        # a dead iterate fixes the partial sum
+        V.extend([running.norm_l2(ginv)] * (K - len(V)))
+
+    ns = np.arange(1, K + 1, dtype=float)
+    series_partial = np.cumsum(np.array(V) * ns ** (-1.5)).tolist()
+    dyadic = []
+    total = 0.0
+    j = 0
+    while 2**j <= K:
+        total += 2.0 ** (-j / 2.0) * V[2**j - 1]
+        dyadic.append(total)
+        j += 1
+    return ConditionReport(K=K, V=V, series_partial=series_partial, dyadic_partial=dyadic)
 
 
 # ----------------------------------------------------------------------
@@ -345,13 +404,13 @@ def tent_system(a: float, base_grid: int = 4096) -> MapSystem:
 
 @lru_cache(maxsize=1)
 def three_branch_system() -> MapSystem:
-    transfer = three_branch_transfer()
+    transfer = NormalizedTransfer(three_branch_map(), PiecewiseAffineFunction.constant(0.0, 1.0, 1.0))
     h = Observable(
         f=PiecewiseAffineFunction.step([0.0, 0.25, 0.5, 0.75, 1.0], [1.0, -1.0, -2.0, 2.0]),
         centered_wrt="three_branch",
     )
     return MapSystem(
-        map=three_branch_map(),
+        map=transfer.map,
         density=transfer.gstar,
         transfer=transfer,
         components=[SupportCycle(intervals=(Interval(0.0, 0.5),), period=1),

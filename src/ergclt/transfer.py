@@ -1,4 +1,6 @@
-"""Exact transfer-operator actions and series-summability diagnostics.
+"""Exact transfer-operator actions: the Perron-Frobenius and Koopman
+operators and the transfer normalized by an invariant density.  Turning
+their iterates into variances and diagnostics is the job of `clt`.
 
 All operators act on the piecewise-affine algebra, so pushing a density
 forward, composing with the map, and integrating against an invariant
@@ -10,15 +12,8 @@ defers the division by g to the final quadrature.
 
 from __future__ import annotations
 
-import itertools
-import math
-from dataclasses import dataclass, field
-
-import numpy as np
-
-from .maps import PiecewiseLinearMap, three_branch_map
-from .piecewise import (MEASURE_TOL, PiecewiseAffineFunction, _dot, _embedded, _sum_of_parts,
-                        integrate_product, pw_sum)
+from .maps import PiecewiseLinearMap
+from .piecewise import PiecewiseAffineFunction, _embedded, _sum_of_parts
 
 # An iterate whose L1 norm is at most this fraction of its start's is dead:
 # it and every later iterate count as zero.
@@ -98,100 +93,3 @@ class NormalizedTransfer:
             if l1 <= dead:
                 return
             yield v, l1
-
-
-def three_branch_transfer() -> NormalizedTransfer:
-    g = PiecewiseAffineFunction.constant(0.0, 1.0, 1.0)
-    return NormalizedTransfer(three_branch_map(), g)
-
-
-@dataclass
-class ConditionReport:
-    """Summability diagnostics for the dyadic/full series of iterate norms.
-
-    V[n-1] is the L2(nu) norm of the n-term partial sum of normalized-operator
-    iterates; the two partial-sum arrays track the full series sum n^(-3/2) V_n
-    and its dyadic counterpart sum 2^(-j/2) V_{2^j}, which bound each other.
-    """
-
-    K: int
-    V: list[float]
-    series_partial: list[float]
-    dyadic_partial: list[float]
-    theta: float
-    iterate_norm2: list[float] = field(default_factory=list)
-    interp_bound: list[float] = field(default_factory=list)
-
-
-def _fit_slope(x: np.ndarray, y: np.ndarray) -> float:
-    """Least-squares slope of y against x in closed form, Σ(x−x̄)(y−ȳ) / Σ(x−x̄)²."""
-    dx = x - x.mean()
-    return _dot(dx, y - y.mean()) / _dot(dx, dx)
-
-
-def _fit_decay_rate(norms: np.ndarray) -> float:
-    """Least-squares geometric rate of a norm sequence, fitted on the tail
-    half to skip the transient.  Sequences that hit exact zero fit theta=0."""
-    norms = np.asarray(norms)
-    pos = norms > 0
-    if not np.all(pos):
-        return 0.0
-    n = len(norms)
-    start = n // 2 if n >= 4 else 0
-    idx = np.arange(start + 1, n + 1, dtype=float)
-    logs = np.log(norms[start:])
-    if len(idx) < 2:
-        return 1.0
-    return math.exp(_fit_slope(idx, logs))
-
-
-def condition_report(h: PiecewiseAffineFunction, transfer_action: NormalizedTransfer,
-                     K: int = 64) -> ConditionReport:
-    """Norms V_n of partial sums of transfer iterates plus decay diagnostics.
-
-    Requires h centered under the invariant measure of the action to
-    MEASURE_TOL.  Norms are exact piecewise quadratures; once an iterate dies
-    the remaining V_n are constant and filled without iterating.
-    """
-    if K < 8:
-        raise ValueError("need K >= 8")
-    mean = integrate_product([h, transfer_action.gstar])
-    if abs(mean) > MEASURE_TOL:
-        raise ValueError(f"observable is not centered: ∫ h dν = {mean:.3e}")
-    ginv = transfer_action.ginv
-    sup_h = h.sup_norm()
-
-    running = transfer_action.weighted(h)   # sum of the iterates so far
-    V = []
-    pt2 = []
-    interp = []
-    for v, l1 in itertools.islice(transfer_action.iterates(running), K):
-        V.append(running.norm_l2(ginv))
-        running = pw_sum([running, v]).pruned()
-        pt2.append(v.norm_l2(ginv))
-        interp.append(math.sqrt(max(sup_h, 0.0) * l1))
-    if len(V) < K:
-        # a dead iterate fixes the partial sum
-        V.extend([running.norm_l2(ginv)] * (K - len(V)))
-        pt2.append(0.0)
-        interp.append(0.0)
-    theta = _fit_decay_rate(np.array(pt2))
-
-    ns = np.arange(1, K + 1, dtype=float)
-    series_partial = np.cumsum(np.array(V) * ns ** (-1.5)).tolist()
-    dyadic = []
-    total = 0.0
-    j = 0
-    while 2**j <= K:
-        total += 2.0 ** (-j / 2.0) * V[2**j - 1]
-        dyadic.append(total)
-        j += 1
-    return ConditionReport(
-        K=K,
-        V=V,
-        series_partial=series_partial,
-        dyadic_partial=dyadic,
-        theta=theta,
-        iterate_norm2=pt2,
-        interp_bound=interp,
-    )

@@ -1,9 +1,22 @@
-"""The orbit engines as they were before piece lookup became a count of
-cuts: binary searches in float space and one uint64 -> float conversion per
-bit-engine step.  The property tests hold the package to these bytes."""
+"""Replaced algorithms, kept as they were so that tests can hold the
+package to their bytes:
+
+- the orbit engines before piece lookup became a count of cuts: binary
+  searches in float space and one uint64 -> float conversion per
+  bit-engine step;
+- `variance_profile` before each component value went through
+  `_series_estimate`, and `condition_report` with the per-lag sup-norm
+  interpolation bound, iterate norms and decay-rate fit it used to compute.
+"""
+
+import itertools
+import math
 
 import numpy as np
 
+from ergclt.clt import (VarianceProfile, _clamp_sigma2, _fit_slope, _geometric_tail,
+                        autocovariance_sequence, blocked_observable)
+from ergclt.piecewise import MEASURE_TOL, integrate_product, pw_sum
 from ergclt.simulate import _STREAM_BITS, _TWO64, _dyadic_engine_params, _rng
 
 
@@ -70,3 +83,75 @@ def orbit(map_, f, inits, seed, n_steps):
     """The reference for `simulate._orbit`: f at each point of orbit_points."""
     ev = evaluator(f)
     return (ev(x) for x in orbit_points(map_, inits, seed, n_steps))
+
+
+def variance_profile(components, h, map_, transfer_action, J=64):
+    h.check_centered(transfer_action.gstar)
+    r = 1
+    for comp in components:
+        r *= comp.period
+    hr = blocked_observable(h, map_, r)
+    out = []
+    for comp in components:
+        first = comp.intervals[0]
+        mass = sum(transfer_action.gstar.integral(iv.lo, iv.hi) for iv in comp.intervals)
+        if mass <= 0:
+            raise ValueError("component carries no invariant mass")
+        terms, exhausted = autocovariance_sequence(
+            hr, transfer_action, J, step=r, window=[(first.lo, first.hi)]
+        )
+        _geometric_tail(terms, exhausted)  # raises on divergence diagnostics
+        value = float(comp.period / mass * (terms[0] + 2.0 * terms[1:].sum()))
+        out.append((comp.as_pairs(), _clamp_sigma2(value, terms)))
+    return VarianceProfile(components=out, method="autocov")
+
+
+def _fit_decay_rate(norms):
+    norms = np.asarray(norms)
+    pos = norms > 0
+    if not np.all(pos):
+        return 0.0
+    n = len(norms)
+    start = n // 2 if n >= 4 else 0
+    idx = np.arange(start + 1, n + 1, dtype=float)
+    logs = np.log(norms[start:])
+    if len(idx) < 2:
+        return 1.0
+    return math.exp(_fit_slope(idx, logs))
+
+
+def condition_report(h, transfer_action, K=64):
+    """Returns (V, series_partial, dyadic_partial, theta, iterate_norm2, interp_bound)."""
+    if K < 8:
+        raise ValueError("need K >= 8")
+    mean = integrate_product([h, transfer_action.gstar])
+    if abs(mean) > MEASURE_TOL:
+        raise ValueError(f"observable is not centered: ∫ h dν = {mean:.3e}")
+    ginv = transfer_action.ginv
+    sup_h = h.sup_norm()
+
+    running = transfer_action.weighted(h)
+    V = []
+    pt2 = []
+    interp = []
+    for v, l1 in itertools.islice(transfer_action.iterates(running), K):
+        V.append(running.norm_l2(ginv))
+        running = pw_sum([running, v]).pruned()
+        pt2.append(v.norm_l2(ginv))
+        interp.append(math.sqrt(max(sup_h, 0.0) * l1))
+    if len(V) < K:
+        V.extend([running.norm_l2(ginv)] * (K - len(V)))
+        pt2.append(0.0)
+        interp.append(0.0)
+    theta = _fit_decay_rate(np.array(pt2))
+
+    ns = np.arange(1, K + 1, dtype=float)
+    series_partial = np.cumsum(np.array(V) * ns ** (-1.5)).tolist()
+    dyadic = []
+    total = 0.0
+    j = 0
+    while 2**j <= K:
+        total += 2.0 ** (-j / 2.0) * V[2**j - 1]
+        dyadic.append(total)
+        j += 1
+    return V, series_partial, dyadic, theta, pt2, interp

@@ -6,7 +6,7 @@ import itertools
 import pathlib
 
 from ergclt.piecewise import PiecewiseAffineFunction as PAF
-from ergclt.transfer import three_branch_transfer
+from ergclt.clt import three_branch_system
 
 SPANS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -37,7 +37,7 @@ def test_push_span_counts_one_call_per_lag():
     """`transfer.push.calls` counts transfer steps: n lags of `iterates` are
     n pushes, whatever the push does inside."""
     spans = load_spans()
-    nt = three_branch_transfer()
+    nt = three_branch_system().transfer
     v = nt.weighted(PAF.step([0.0, 0.1, 0.37, 0.5, 0.81, 1.0], [1.0, -0.3, 0.7, 2.0, -1.1]))
     for n in (1, 7):
         tracer = spans.Tracer()

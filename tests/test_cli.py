@@ -220,7 +220,32 @@ def test_runconfig_bounds():
         RunConfig(format="xml").validate()
     with pytest.raises(ValueError):
         RunConfig(truncation_J=-1).validate()
+    with pytest.raises(ValueError):
+        RunConfig(truncation_J=2**16 + 1).validate()
+    for levels in (-3, -1, 17):
+        with pytest.raises(ValueError):
+            RunConfig(dyadic_levels=levels).validate()
     RunConfig().validate()
+    RunConfig(truncation_J=2**16, dyadic_levels=16).validate()
+    RunConfig(truncation_J=0, dyadic_levels=0).validate()
+
+
+def test_verify_checks_the_grid_bound(capsys):
+    """verify validates its config like every other command: a grid over
+    2^16 exits 2 before any criterion runs."""
+    assert main(["verify", "--grid", "131072", "--only", "densities"]) == 2
+    captured = capsys.readouterr()
+    assert "grid must lie in [2, 65536]" in captured.err
+    assert "densities" not in captured.out
+
+
+def test_negative_dyadic_levels_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "levels.cfg"
+    cfg.write_text("dyadic_levels=-3\n")
+    out = tmp_path / "v"
+    assert main(["--config", str(cfg), "variance", "--map", "three-branch", "--out", str(out)]) == 2
+    assert "dyadic_levels must lie in [0, 16]" in capsys.readouterr().err
+    assert not (tmp_path / "v.json").exists()
 
 
 def test_density_json_format_inlines_table(tmp_path):

@@ -342,7 +342,7 @@ def test_limit_law_three_branch_moderate_scale():
     tb = three_branch_system()
     inits = sample_from_density(tb.density, 2000, 17)
     sample = partial_sum_paths(tb.map, tb.observable, 2048, [0.5, 1.0], inits, 17)
-    prof = variance_profile(tb.components, tb.observable, tb.map, tb.transfer, J=16)
+    prof = variance_profile(tb.observable, tb.transfer, tb.components, J=16)
     reports = limit_law_check(sample, prof, inits)
     assert len(reports) == 6  # (mixture + 2 components) x 2 grid times
     assert all(r.ks_stat <= 0.07 for r in reports)
@@ -353,7 +353,7 @@ def test_limit_law_zero_observable_flagged():
     zero = Observable(f=PAF.zero(0, 1), centered_wrt="three_branch")
     inits = sample_from_density(tb.density, 50, 19)
     sample = partial_sum_paths(tb.map, zero, 64, [1.0], inits, 19)
-    prof = variance_profile(tb.components, zero, tb.map, tb.transfer, J=4)
+    prof = variance_profile(zero, tb.transfer, tb.components, J=4)
     reports = limit_law_check(sample, prof, inits)
     assert all("skipped" in r.note for r in reports)
     assert all(r.ks_stat == 0.0 for r in reports)
@@ -363,7 +363,7 @@ def test_limit_law_rejects_unassigned_inits():
     tb = three_branch_system()
     inits = sample_from_density(tb.density, 50, 23)
     sample = partial_sum_paths(tb.map, tb.observable, 64, [1.0], inits, 23)
-    prof = variance_profile([tb.components[0]], tb.observable, tb.map, tb.transfer, J=4)
+    prof = variance_profile(tb.observable, tb.transfer, [tb.components[0]], J=4)
     with pytest.raises(ValueError):
         limit_law_check(sample, prof, inits)
 
@@ -375,7 +375,7 @@ def test_variance_consistency_with_profile():
     inits = sample_from_density(tb.density, 4000, 29)
     sample = partial_sum_paths(tb.map, tb.observable, 2048, [1.0], inits, 29)
     w = sample.marginal(1.0)
-    prof = variance_profile(tb.components, tb.observable, tb.map, tb.transfer, J=16)
+    prof = variance_profile(tb.observable, tb.transfer, tb.components, J=16)
     weights = [np.mean([(lo <= x <= hi) for x in inits for (lo, hi) in sup]) for sup, _ in prof.components]
     target = sum(wt * v for wt, (_, v) in zip(weights, prof.components))
     est = w.var(ddof=1)

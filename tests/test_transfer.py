@@ -1,5 +1,5 @@
 """Transfer-operator actions: exactness, duality, contraction, and the
-summability diagnostics."""
+summability diagnostics of `clt.condition_report`."""
 
 import itertools
 import json
@@ -15,19 +15,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import ergclt
+import references as ref
 from ergclt import piecewise
+from ergclt.clt import Observable, condition_report, tent_system, three_branch_system
 from ergclt.densities import tent_density
 from ergclt.maps import tent_map, three_branch_map
 from ergclt.piecewise import PiecewiseAffineFunction as PAF
 from ergclt.piecewise import PieceBudgetExceeded, integrate_product, pw_sum
-from ergclt.transfer import (
-    DEAD_ITERATE_REL,
-    NormalizedTransfer,
-    condition_report,
-    frobenius_perron,
-    koopman,
-    three_branch_transfer,
-)
+from ergclt.transfer import DEAD_ITERATE_REL, NormalizedTransfer, frobenius_perron, koopman
 
 from strategies import affine_functions, maps_and_functions_through
 
@@ -118,7 +113,7 @@ def test_normalized_transfer_constants_and_conservation():
     f = random_step(rng)
     assert integrate_product([nt(f), g]) == pytest.approx(integrate_product([f, g]), abs=1e-10)
     # and constants pass through exactly when the density is exactly invariant
-    tb = three_branch_transfer()
+    tb = three_branch_system().transfer
     one01 = PAF.constant(0, 1, 1.0)
     assert (tb(one01) - one01).sup_norm() <= 1e-14
 
@@ -142,7 +137,7 @@ def test_normalized_transfer_function_form():
 def test_koopman_inverts_transfer():
     """P_T(U_T f) = f for maps whose invariant density is exactly known."""
     rng = np.random.default_rng(3)
-    tb = three_branch_transfer()
+    tb = three_branch_system().transfer
     f = random_step(rng, 0.0, 1.0)
     back = tb(koopman(three_branch_map(), f))
     assert (back - f).norm_l2(tb.gstar) <= 1e-10
@@ -156,7 +151,7 @@ def test_koopman_inverts_transfer():
 
 def test_koopman_isometry_and_constants():
     rng = np.random.default_rng(4)
-    tb = three_branch_transfer()
+    tb = three_branch_system().transfer
     f = random_step(rng, 0.0, 1.0)
     uf = koopman(three_branch_map(), f)
     assert uf.norm_l1(tb.gstar) == pytest.approx(f.norm_l1(tb.gstar), abs=1e-10)
@@ -167,7 +162,7 @@ def test_koopman_isometry_and_constants():
 def test_duality_on_step_functions():
     """∫ (P_T f) g dν = ∫ f (g o T) dν."""
     rng = np.random.default_rng(5)
-    tb = three_branch_transfer()
+    tb = three_branch_system().transfer
     t = three_branch_map()
     for _ in range(20):
         f = random_step(rng, 0.0, 1.0, 5)
@@ -186,7 +181,7 @@ def test_contraction_in_l1_and_l2():
         f = random_step(rng)
         assert nt(f).norm_l1(g) <= f.norm_l1(g) + 1e-10
     # L2 contraction needs an exactly invariant density
-    tb = three_branch_transfer()
+    tb = three_branch_system().transfer
     for _ in range(10):
         f = random_step(rng, 0.0, 1.0)
         pf = tb(f)
@@ -196,7 +191,7 @@ def test_contraction_in_l1_and_l2():
 
 def test_composition_law():
     """Applying the operator m then n times equals m+n applications."""
-    tb = three_branch_transfer()
+    tb = three_branch_system().transfer
     rng = np.random.default_rng(7)
     f = random_step(rng, 0.0, 1.0)
     once = f
@@ -213,16 +208,14 @@ def test_composition_law():
 def test_condition_report_tent2():
     g2 = tent_density(2.0)
     nt = NormalizedTransfer(tent_map(2.0), g2)
-    rep = condition_report(PAF.affine(-1, 1, 1, 0), nt, K=64)
+    rep = condition_report(Observable(PAF.affine(-1, 1, 1, 0), "tent(a=2.0)"), nt, K=64)
     target = 1.0 / math.sqrt(3.0)
     assert max(abs(v - target) for v in rep.V) <= 1e-12
-    assert rep.theta == 0.0
-    assert all(n == 0.0 for n in rep.iterate_norm2[1:])
 
 
 def test_condition_report_three_branch():
-    tb = three_branch_transfer()
-    rep = condition_report(FOUR_STEP, tb, K=32)
+    tb = three_branch_system().transfer
+    rep = condition_report(Observable(FOUR_STEP, "three_branch"), tb, K=32)
     target = math.sqrt(2.5)
     assert max(abs(v - target) for v in rep.V) <= 1e-12
 
@@ -231,7 +224,7 @@ def test_condition_report_subadditivity_and_monotone_partials():
     g = tent_density(1.5, 1024)
     nt = NormalizedTransfer(tent_map(1.5), g)
     m = integrate_product([PAF.affine(-1, 1, 1, 0), g])
-    h = PAF.affine(-1, 1, 1.0, -m)
+    h = Observable(PAF.affine(-1, 1, 1.0, -m), "tent(a=1.5)")
     rep = condition_report(h, nt, K=24)
     V = rep.V
     for n in range(1, len(V) + 1):
@@ -239,36 +232,36 @@ def test_condition_report_subadditivity_and_monotone_partials():
             assert V[n + k - 1] <= V[n - 1] + V[k - 1] + 1e-9
     assert all(b >= a - 1e-15 for a, b in zip(rep.series_partial, rep.series_partial[1:]))
     assert all(b >= a - 1e-15 for a, b in zip(rep.dyadic_partial, rep.dyadic_partial[1:]))
-    assert rep.theta < 1.0
-
-
-def test_condition_report_interpolation_bound():
-    """||P^n f||_2 <= sqrt(||f||_inf ||P^n f||_1) numerically."""
-    g = tent_density(1.5, 1024)
-    nt = NormalizedTransfer(tent_map(1.5), g)
-    m = integrate_product([PAF.affine(-1, 1, 1, 0), g])
-    rep = condition_report(PAF.affine(-1, 1, 1.0, -m), nt, K=16)
-    for n2, bound in zip(rep.iterate_norm2, rep.interp_bound):
-        assert n2 <= bound + 1e-9
 
 
 def test_condition_report_requires_centering():
-    tb = three_branch_transfer()
-    with pytest.raises(ValueError):
-        condition_report(PAF.constant(0, 1, 1.0), tb, K=8)
+    tb = three_branch_system().transfer
+    with pytest.raises(ValueError, match="not centered against three_branch"):
+        condition_report(Observable(PAF.constant(0, 1, 1.0), "three_branch"), tb, K=8)
 
 
 def test_condition_report_requires_min_horizon():
-    tb = three_branch_transfer()
+    tb = three_branch_system().transfer
     with pytest.raises(ValueError):
-        condition_report(FOUR_STEP, tb, K=4)
+        condition_report(Observable(FOUR_STEP, "three_branch"), tb, K=4)
+
+
+def test_condition_report_matches_replaced_code():
+    """V and both partial-sum series keep their bits on the six reports of
+    the `condition` criterion, now that the report computes nothing else."""
+    sys2, tb, sys15 = tent_system(2.0), three_branch_system(), tent_system(1.5)
+    for system, K in ((sys2, 64), (sys2, 256), (sys2, 1024), (sys2, 64), (tb, 64), (sys15, 24)):
+        rep = condition_report(system.observable, system.transfer, K=K)
+        old = ref.condition_report(system.observable.f, system.transfer, K=K)
+        for got, want in zip((rep.V, rep.series_partial, rep.dyadic_partial), old[:3]):
+            assert [float(x).hex() for x in got] == [float(x).hex() for x in want]
 
 
 def test_sandwich_ratio_stable_across_horizons():
-    tb = three_branch_transfer()
+    tb = three_branch_system().transfer
     ratios = []
     for K in (64, 256, 1024):
-        rep = condition_report(FOUR_STEP, tb, K=K)
+        rep = condition_report(Observable(FOUR_STEP, "three_branch"), tb, K=K)
         ratios.append(rep.series_partial[-1] / rep.dyadic_partial[-1])
     assert max(ratios) / min(ratios) <= 1.5
 
@@ -396,7 +389,7 @@ def test_property_iterates_match_plain_loop_three_branch(values, centered, step)
     if centered:
         vals[:half] -= vals[:half].mean()
         vals[half:] -= vals[half:].mean()
-    nt = three_branch_transfer()
+    nt = three_branch_system().transfer
     f = PAF.step(np.linspace(0.0, 1.0, len(vals) + 1), vals)
     live = assert_iterates_match_plain_loop(nt, nt.weighted(f), step)
     if centered:
