@@ -29,7 +29,8 @@ from .clt import (
     variance_profile,
     variance_profile_dyadic,
 )
-from .densities import detect_periodicity, invariant_density, tent_ulam_density, ulam_matrix
+from .densities import (DetectionError, detect_periodicity, invariant_density, resolving_grid,
+                        tent_ulam_density, ulam_matrix)
 from .maps import (
     _tent_core_interval,
     squared_param,
@@ -148,30 +149,12 @@ _PERIODICITY_CASES = (2.0, 1.5, 1.3, 1.25, 1.1, 1.06)
 _PERIODICITY_EXPECT = (1, 1, 2, 2, 4, 8)
 
 
-def resolving_grid(a: float, default: int = 4096) -> int:
-    """Grid fine enough that the analytic support cycle is resolved: at least
-    16 cells per smallest component width or inter-component gap."""
-    cycle = tent_support_cycle(a)
-    if cycle.period == 1:
-        return default
-    ivs = sorted(cycle.as_pairs())
-    feature = min(hi - lo for lo, hi in ivs)
-    for (l1, h1), (l2, h2) in zip(ivs, ivs[1:]):
-        feature = min(feature, l2 - h1)
-    n = default
-    while 2.0 / n > feature / 16.0 and n < 2**19:
-        n *= 2
-    return n
-
-
 def crit_periodicity(seed: int = DEFAULT_SEED, grid: int | None = None) -> CriterionResult:
-    from .densities import DetectionError
-
     rows = []
     ok = True
     for a, expect in zip(_PERIODICITY_CASES, _PERIODICITY_EXPECT):
         formula = tent_period(a)
-        g = grid if grid is not None else resolving_grid(a)
+        g = grid if grid is not None else max(4096, resolving_grid(a))
         try:
             detected = detect_periodicity(ulam_matrix(tent_map(a), g))
         except DetectionError:
@@ -273,7 +256,7 @@ def crit_maximal(seed: int = DEFAULT_SEED, observables: int = 100) -> CriterionR
         margins.append(rep.margin_sigmas)
         if not rep.holds:
             failures.append(("three_branch", rep.n))
-    sys13 = tent_system(1.3, 1024)
+    sys13 = tent_system(1.3)
     core = _tent_core_interval(1.3)
     rng = np.random.default_rng(seed)
     for i in range(observables):

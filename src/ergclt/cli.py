@@ -33,9 +33,11 @@ from .densities import (
     DetectionError,
     detect_periodicity,
     invariant_density,
+    resolving_grid,
     ulam_matrix,
 )
-from .maps import SQRT2, squared_param, tent_map, tent_period, tent_support_cycle, three_branch_map
+from .maps import (TENT_DEEPEST_WINDOW, SQRT2, squared_param, tent_map, tent_period, tent_support_cycle,
+                   tent_window_exponent, three_branch_map)
 from .piecewise import PieceBudgetExceeded
 from .simulate import limit_law_check, partial_sum_paths, sample_from_density
 
@@ -45,8 +47,8 @@ SCHEMA_VERSION = 1
 # command's set is a usage error; the JSON still records every field.
 READS = {
     "density": ("map_spec", "a", "grid_n", "output_path", "format"),
-    "variance": ("map_spec", "a", "grid_n", "truncation_J", "dyadic_levels", "output_path"),
-    "simulate": ("map_spec", "a", "grid_n", "steps_n", "paths", "seed", "truncation_J", "output_path"),
+    "variance": ("map_spec", "a", "truncation_J", "dyadic_levels", "output_path"),
+    "simulate": ("map_spec", "a", "steps_n", "paths", "seed", "truncation_J", "output_path"),
     "verify": ("grid_n", "seed", "output_path", "only"),
 }
 
@@ -84,6 +86,9 @@ class RunConfig:
             raise ValueError(f"unknown map {self.map_spec!r} (use tent or three_branch)")
         if self.map_spec == "tent" and not 1.0 < self.a <= 2.0:
             raise ValueError("tent parameter must lie in (1, 2]")
+        if self.map_spec == "tent" and tent_window_exponent(self.a) > TENT_DEEPEST_WINDOW:
+            raise ValueError(f"tent parameter {self.a!r} lies in window m = {tent_window_exponent(self.a)}; "
+                             f"float64 resolves the support cycle only up to m = {TENT_DEEPEST_WINDOW}")
         if not 2 <= self.grid_n <= 2**16:
             raise ValueError("grid must lie in [2, 65536]")
         if not 1 <= self.steps_n <= 2**22:
@@ -120,37 +125,32 @@ def _json_payload(config: RunConfig, body: dict) -> str:
     return json.dumps(payload, sort_keys=True, default=float) + "\n"
 
 
-def _build_map(config: RunConfig):
-    if config.map_spec == "tent":
-        return tent_map(config.a)
-    return three_branch_map()
-
-
 def cmd_density(config: RunConfig) -> int:
-    map_ = _build_map(config)
-    op = ulam_matrix(map_, config.grid_n)
+    tent = config.map_spec == "tent"
+    need = resolving_grid(config.a) if tent else 2
+    if config.grid_n < need:
+        raise ValueError(f"grid {config.grid_n} cannot resolve the support cycle at a={config.a!r}: it needs "
+                         + (f"{need} cells" if need <= 2**16 else "more than 65536 cells"))
+    op = ulam_matrix(tent_map(config.a) if tent else three_branch_map(), config.grid_n)
     density, info = invariant_density(op, return_info=True)
-    period = detect_periodicity(op)
-    vals = density.piece_values()
-    cells = list(zip(density.breakpoints[:-1].tolist(), density.breakpoints[1:].tolist(),
-                     vals.tolist()))
     meta = {
         "residual": info["residual"],
         "iterations": info["iterations"],
-        "period_detected": period,
+        "period_detected": detect_periodicity(op),
     }
-    if config.format == "json":
-        meta["cells"] = [{"cell_lo": lo, "cell_hi": hi, "value": v} for lo, hi, v in cells]
-    else:
-        rows = ["cell_lo,cell_hi,value"]
-        rows += [f"{lo!r},{hi!r},{v!r}" for lo, hi, v in cells]
-        _atomic_write(config.output_path + ".csv", "\n".join(rows) + "\n")
-    if config.map_spec == "tent":
+    if tent:
         meta["period_formula"] = tent_period(config.a)
-        cycle = tent_support_cycle(config.a)
-        meta["cycle_masses"] = [
-            density.integral(iv.lo, iv.hi) for iv in cycle.intervals
-        ]
+        if meta["period_detected"] != meta["period_formula"]:
+            raise DetectionError(f"the Ulam chain at a={config.a!r}, grid {config.grid_n}, shows period "
+                                 f"{meta['period_detected']}, not the formula's {meta['period_formula']}")
+        meta["cycle_masses"] = [density.integral(iv.lo, iv.hi) for iv in tent_support_cycle(config.a).intervals]
+    edges, values = density.breakpoints.tolist(), density.piece_values().tolist()
+    if config.format == "json":
+        meta["cells"] = [{"cell_lo": lo, "cell_hi": hi, "value": v} for lo, hi, v in zip(edges, edges[1:], values)]
+    else:
+        edges, values = list(map(repr, edges)), list(map(repr, values))
+        rows = map(",".join, zip(edges, edges[1:], values))
+        _atomic_write(config.output_path + ".csv", "cell_lo,cell_hi,value\n" + "\n".join(rows) + "\n")
     _atomic_write(config.output_path + ".json", _json_payload(config, meta))
     return 0
 
@@ -165,7 +165,7 @@ def cmd_variance(config: RunConfig) -> int:
         body["variance_profile_dyadic"] = dyad.to_dict()
     else:
         a = config.a
-        system = tent_system(a, config.grid_n)
+        system = tent_system(a)
         auto = sigma2_autocovariance(system.observable, system.map, system.transfer,
                                      system.components[0], J=config.truncation_J)
         body["autocov"] = asdict(auto)
@@ -176,7 +176,7 @@ def cmd_variance(config: RunConfig) -> int:
             body["resolvent"] = asdict(sigma2_resolvent(system.observable, system.transfer,
                                                         J=config.truncation_J))
         else:
-            base_sys = tent_system(squared_param(a), config.grid_n)
+            base_sys = tent_system(squared_param(a))
             base = sigma2_resolvent(base_sys.observable, base_sys.transfer,
                                     J=config.truncation_J)
             sigma = tent_sigma_recursion(a, base)
@@ -194,7 +194,7 @@ def cmd_simulate(config: RunConfig) -> int:
     if config.map_spec == "three_branch":
         system = three_branch_system()
     else:
-        system = tent_system(config.a, config.grid_n)
+        system = tent_system(config.a)
     inits = sample_from_density(system.density, config.paths, config.seed)
     t_grid = [0.25, 0.5, 1.0]
     sample = partial_sum_paths(system.map, system.observable, config.steps_n, t_grid,

@@ -103,25 +103,24 @@ class VarianceProfile:
 # tent-map observables
 # ----------------------------------------------------------------------
 
-def tent_mean(a: float, base_grid: int = 4096) -> float:
+def tent_mean(a: float) -> float:
     """Stationary mean of the coordinate under the tent invariant measure.
 
-    Above sqrt(2) this is the exact quadrature against the Ulam density; below,
-    the affine pull-back of both conjugacy branches collapses the integral to
-    the recursion m_a = (a-1)/(2a) - (a-1) x*(a) m_{a^2} / (2a).
+    Above sqrt(2) this is the exact quadrature against the closed-form
+    density; below, the affine pull-back of both conjugacy branches collapses
+    the integral to the recursion m_a = (a-1)/(2a) - (a-1) x*(a) m_{a^2} / (2a).
     """
     _check_tent_param(a)
     if a > SQRT2:
-        g = tent_density(a, base_grid)
-        return integrate_product([PiecewiseAffineFunction.affine(-1.0, 1.0, 1.0, 0.0), g])
+        return integrate_product([PiecewiseAffineFunction.affine(-1.0, 1.0, 1.0, 0.0), tent_density(a)])
     xs = tent_fixed_point(a)
-    m_sq = tent_mean(squared_param(a), base_grid)
+    m_sq = tent_mean(squared_param(a))
     return (a - 1.0) / (2.0 * a) - (a - 1.0) * xs * m_sq / (2.0 * a)
 
 
-def tent_observable(a: float, base_grid: int = 4096) -> Observable:
+def tent_observable(a: float) -> Observable:
     """The centered coordinate y - m_a on [-1, 1]."""
-    m = tent_mean(a, base_grid)
+    m = tent_mean(a)
     return Observable(
         f=PiecewiseAffineFunction.affine(-1.0, 1.0, 1.0, -m),
         centered_wrt=f"tent(a={a})",
@@ -391,14 +390,18 @@ class MapSystem:
 
 
 @lru_cache(maxsize=64)
-def tent_system(a: float, base_grid: int = 4096) -> MapSystem:
-    g = tent_density(a, base_grid)
+def tent_system(a: float, _ignored=None) -> MapSystem:
+    """The tent map at a with its closed-form density.  The second parameter
+    is ignored: it once chose the Ulam grid behind the density, and the
+    benchmark's ensemble set-up still passes one; it goes with the next
+    change to the benchmark."""
+    g = tent_density(a)
     return MapSystem(
         map=tent_map(a),
         density=g,
         transfer=NormalizedTransfer(tent_map(a), g),
         components=[tent_support_cycle(a)],
-        observable=tent_observable(a, base_grid),
+        observable=tent_observable(a),
     )
 
 

@@ -1,4 +1,4 @@
-"""Ulam discretization, invariant densities, and the exact tent-density recursion."""
+"""Ulam discretization, invariant densities, and the tent density in closed form."""
 
 from __future__ import annotations
 
@@ -13,16 +13,13 @@ import scipy.sparse as sp
 from .maps import (
     Interval,
     PiecewiseLinearMap,
-    SQRT2,
     _check_tent_param,
     _tent_core_interval,
-    squared_param,
-    tent_conjugacy,
-    tent_fixed_point,
-    tent_invariant_interval,
     tent_map,
+    tent_support_cycle,
 )
-from .piecewise import MEASURE_TOL, PiecewiseAffineFunction, _dot
+from .piecewise import MEASURE_TOL, PiecewiseAffineFunction
+from .transfer import frobenius_perron
 
 
 class ConvergenceError(RuntimeError):
@@ -236,42 +233,58 @@ def tent_ulam_density(a: float, grid_n: int = 4096) -> PiecewiseAffineFunction:
     return fn.pruned()
 
 
-@lru_cache(maxsize=64)
-def tent_density(a: float, base_grid: int = 4096) -> PiecewiseAffineFunction:
-    """Invariant density of the tent map.
+# The critical orbit runs in fixed point with this many fractional bits, so
+# each c_n is T^n(0) correctly rounded.
+_ORBIT_BITS = 160
 
-    Above sqrt(2) this is the (windowed) Ulam density.  Below, the density is
-    assembled exactly from the squared-parameter density via the two inverse
-    conjugacy branches: scale by a/(2 x*) on the right invariant interval and
-    by 1/(2 x*) on the central one, one level per squaring, from the first
-    square above sqrt(2) down to a.  a > 1 + 1e-6 passes sqrt(2) after at
-    most 19 squarings.  Deep windows have cells narrower than the breakpoint
-    merge tolerance, and merging them loses mass: a level whose assembled
-    density has its mass off by more than MEASURE_TOL raises
-    ConvergenceError, naming a and that level, with the mass error as its
-    residual.
-    """
+
+@lru_cache(maxsize=64)
+def tent_density(a: float) -> PiecewiseAffineFunction:
+    """Invariant density of the tent map in closed form over its critical
+    orbit c_n = T^n(0) (Ito, Tanaka & Nakada 1979; Góra 2009): proportional to
+    Σ_(n≥1) s_n a^(1−n) 1[−1, c_n], with s_1 = 1 and a sign flip after each
+    c_n > 0, up to the term where the mass left, a^(1−n) / (1 − 1/a), is
+    below 2^-53.  It is windowed to the support cycle, which clears the
+    cancellation residue off it, scaled to mass 1 before pruning and divided
+    by the pruned mass.  A windowed mass that is not positive, or
+    ‖Pg − g‖₁ > MEASURE_TOL (deep windows, too narrow for float64), raises
+    ConvergenceError naming a."""
     _check_tent_param(a)
-    levels = [a]
-    while levels[-1] <= SQRT2:
-        levels.append(squared_param(levels[-1]))
-    fn = tent_ulam_density(levels.pop(), base_grid)
-    for level in reversed(levels):
-        xs = tent_fixed_point(level)
-        parts = []
-        for i in (0, 1):
-            fwd, _ = tent_conjugacy(level, i)
-            iv = tent_invariant_interval(level, i)
-            part = fn.compose_affine(fwd.slope, fwd.intercept, iv.lo, iv.hi)
-            factor = level / (2.0 * xs) if i == 0 else 1.0 / (2.0 * xs)
-            parts.append(part * factor)
-        central, right = parts[1], parts[0]
-        bp = np.concatenate((central.breakpoints, right.breakpoints[1:]))
-        sl = np.concatenate((central.slopes, right.slopes))
-        ic = np.concatenate((central.intercepts, right.intercepts))
-        fn = PiecewiseAffineFunction(bp, sl, ic).embed(-1.0, 1.0).pruned()
-        mass_err = _dot(fn.breakpoints[1:] - fn.breakpoints[:-1], fn.piece_values()) - 1.0
-        if abs(mass_err) > MEASURE_TOL:
-            raise ConvergenceError(
-                f"the tent density at a={a!r} has lost mass in the conjugacy assembly at a={level!r}", mass_err)
-    return fn
+    one = 1 << _ORBIT_BITS
+    a_fixed = int(a * 2.0**52) << (_ORBIT_BITS - 52)   # exact for a in (1, 2]
+    x, n, sign, cuts, weights = a_fixed - one, 1, 1.0, [], []
+    while a ** (1 - n) >= 2.0**-53 * (1.0 - 1.0 / a):
+        cuts.append(x / one)
+        weights.append(sign * a ** (1 - n))
+        sign = -sign if x > 0 else sign
+        x, n = a_fixed - one - (a_fixed * abs(x) >> _ORBIT_BITS), n + 1
+    order = np.argsort(cuts, kind="stable")
+    bp = np.concatenate(([-1.0], np.array(cuts)[order], [1.0]))
+    # the cell left of the k-th smallest cut sums the weights of the cuts from it up
+    values = np.append(np.cumsum(np.array(weights)[order][::-1])[::-1], 0.0)
+    wide = bp[1:] > bp[:-1]
+    g = PiecewiseAffineFunction.step(np.append(bp[:-1][wide], 1.0), values[wide])
+    g = g.windowed_union(tent_support_cycle(a).as_pairs())
+    mass = g.integral()
+    if not mass > 0:
+        raise ConvergenceError(f"the tent density at a={a!r} has no mass on its support cycle", mass)
+    g = (g * (1.0 / mass)).pruned()
+    g = g * (1.0 / g.integral())
+    residual = (frobenius_perron(tent_map(a), g) - g).norm_l1()
+    if residual > MEASURE_TOL:
+        raise ConvergenceError(f"the tent density at a={a!r} is not invariant (‖Pg − g‖₁)", residual)
+    return g
+
+
+def resolving_grid(a: float) -> int:
+    """The smallest power-of-two Ulam grid on [-1, 1] with 16 cells per
+    interval of the tent support cycle and per gap between two of them; a
+    coarser one need not show the formula's period."""
+    ivs = sorted(tent_support_cycle(a).as_pairs())
+    feature = min([hi - lo for lo, hi in ivs] + [l2 - h1 for (_, h1), (l2, _) in zip(ivs, ivs[1:])])
+    if feature <= 0:
+        raise ValueError(f"the support cycle at a={a!r} has touching intervals: no grid resolves it")
+    n = 2
+    while 2.0 / n > feature / 16.0:
+        n *= 2
+    return n

@@ -180,8 +180,6 @@ def tent_period(a: float) -> int:
     m = 0
     while a <= 2.0 ** (1.0 / 2.0 ** (m + 1)):
         m += 1
-        if m > 20:
-            raise ValueError(f"parameter {a} too close to 1: window exponent exceeds 20")
     return 2**m
 
 
@@ -206,12 +204,6 @@ def tent_conjugacy(a: float, i: int) -> tuple[AffineMap, AffineMap]:
     else:
         fwd = AffineMap(a / xs, -a - 1.0)
     return fwd, fwd.inverted()
-
-
-def tent_invariant_interval(a: float, i: int) -> Interval:
-    """Domain of the i-th conjugacy branch: central [-x*, x*] or right [x*, x*(1+2/a)]."""
-    xs = tent_fixed_point(a)
-    return Interval(-xs, xs) if i == 1 else Interval(xs, xs * (1.0 + 2.0 / a))
 
 
 @dataclass(frozen=True)
@@ -240,6 +232,10 @@ def _tent_core_interval(a: float) -> Interval:
     t0 = a - 1.0
     t20 = a - 1.0 - a * t0
     return Interval(t20, t0)
+
+
+# Past window 8 (a <= 2^(1/512)) cycle intervals are narrower than one ulp.
+TENT_DEEPEST_WINDOW = 8
 
 
 def tent_support_cycle(a: float) -> SupportCycle:

@@ -6,7 +6,10 @@ package to their bytes:
   bit-engine step;
 - `variance_profile` before each component value went through
   `_series_estimate`, and `condition_report` with the per-lag sup-norm
-  interpolation bound, iterate norms and decay-rate fit it used to compute.
+  interpolation bound, iterate norms and decay-rate fit it used to compute;
+- the conjugacy assembly that built the tent density at a <= sqrt(2) from
+  the density at a^2, one level per squaring, before the density had a
+  closed form.  It is now an identity the closed form must satisfy.
 """
 
 import itertools
@@ -16,7 +19,8 @@ import numpy as np
 
 from ergclt.clt import (VarianceProfile, _clamp_sigma2, _fit_slope, _geometric_tail,
                         autocovariance_sequence, blocked_observable)
-from ergclt.piecewise import MEASURE_TOL, integrate_product, pw_sum
+from ergclt.maps import Interval, tent_conjugacy, tent_fixed_point
+from ergclt.piecewise import MEASURE_TOL, PiecewiseAffineFunction, integrate_product, pw_sum
 from ergclt.simulate import _STREAM_BITS, _TWO64, _dyadic_engine_params, _rng
 
 
@@ -155,3 +159,23 @@ def condition_report(h, transfer_action, K=64):
         dyadic.append(total)
         j += 1
     return V, series_partial, dyadic, theta, pt2, interp
+
+
+def tent_density_from_square(a, g_sq):
+    """The tent density at a <= sqrt(2) assembled from the density g_sq at
+    a^2 through the two inverse conjugacy branches: g_sq scaled by a/(2 x*)
+    on the right invariant interval [x*, x*(1+2/a)] (branch 0) and by
+    1/(2 x*) on the central one [-x*, x*] (branch 1)."""
+    xs = tent_fixed_point(a)
+    parts = []
+    for i in (0, 1):
+        fwd, _ = tent_conjugacy(a, i)
+        iv = Interval(-xs, xs) if i == 1 else Interval(xs, xs * (1.0 + 2.0 / a))
+        part = g_sq.compose_affine(fwd.slope, fwd.intercept, iv.lo, iv.hi)
+        factor = a / (2.0 * xs) if i == 0 else 1.0 / (2.0 * xs)
+        parts.append(part * factor)
+    central, right = parts[1], parts[0]
+    bp = np.concatenate((central.breakpoints, right.breakpoints[1:]))
+    sl = np.concatenate((central.slopes, right.slopes))
+    ic = np.concatenate((central.intercepts, right.intercepts))
+    return PiecewiseAffineFunction(bp, sl, ic).embed(-1.0, 1.0).pruned()

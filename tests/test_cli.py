@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import re
+import time
 
 import pytest
 
@@ -53,7 +54,7 @@ def test_density_tent13_cycle_masses(tmp_path):
 
 def test_variance_tent2_all_methods(tmp_path):
     out = str(tmp_path / "v")
-    assert main(["variance", "--map", "tent", "--a", "2", "--grid", "512", "--out", out]) == 0
+    assert main(["variance", "--map", "tent", "--a", "2", "--trunc", "64", "--out", out]) == 0
     body = read_json(out + ".json")
     assert body["resolvent"]["sigma2"] == pytest.approx(1.0 / 3.0, abs=1e-12)
     assert body["autocov"]["sigma2"] == pytest.approx(1.0 / 3.0, abs=1e-8)
@@ -62,7 +63,7 @@ def test_variance_tent2_all_methods(tmp_path):
 
 def test_variance_sqrt2_recursion(tmp_path):
     out = str(tmp_path / "vs")
-    assert main(["variance", "--map", "tent", "--a", repr(SQRT2), "--grid", "1024", "--out", out]) == 0
+    assert main(["variance", "--map", "tent", "--a", repr(SQRT2), "--trunc", "64", "--out", out]) == 0
     body = read_json(out + ".json")
     expected = ((SQRT2 - 1.0) ** 3 / (2.0 * math.sqrt(3.0))) ** 2
     assert body["recursion"]["sigma2"] == pytest.approx(expected, rel=1e-3)
@@ -113,10 +114,43 @@ def test_usage_errors():
 
 
 def test_deep_window_density_exits_3(tmp_path, capsys):
-    """A tent density whose conjugacy assembly loses mass is a numerical
-    failure, found before any series runs."""
+    """A tent density that float64 cannot resolve is a numerical failure,
+    found before any series runs."""
     assert main(["variance", "--map", "tent", "--a", "1.004", "--out", str(tmp_path / "v")]) == 3
-    assert "lost mass" in capsys.readouterr().err
+    assert "the tent density at a=1.004 " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["density", "variance", "simulate"])
+def test_windows_past_8_exit_2_up_front(command, tmp_path, capsys):
+    """a <= 2^(1/512) lies in window m >= 9, whose support cycle float64
+    cannot build: every command that reads a rejects it before any work."""
+    t0 = time.perf_counter()
+    assert main([command, "--map", "tent", "--a", "1.001", "--out", str(tmp_path / "o")]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert "window m = 9" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("a, grid, need", [(1.3, 256, 512), (1.1, 8192, 16384), (1.06, 65536, None)])
+def test_density_grid_that_cannot_resolve_the_cycle_exits_2(a, grid, need, tmp_path, capsys):
+    """Fewer than 16 cells per cycle interval or gap: exit 2 before the Ulam
+    solve, naming the grid that is needed."""
+    t0 = time.perf_counter()
+    assert main(["density", "--map", "tent", "--a", repr(a), "--grid", str(grid), "--out", str(tmp_path / "d")]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert f"grid {grid} cannot resolve" in err
+    assert (f"it needs {need} cells" if need else "it needs more than 65536 cells") in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_density_period_against_the_formula_exits_3(tmp_path, monkeypatch, capsys):
+    """A detected period that the window formula contradicts is a numerical
+    failure, and no file is written."""
+    monkeypatch.setattr(cli, "detect_periodicity", lambda op: 1)
+    assert main(["density", "--map", "tent", "--a", "1.3", "--grid", "1024", "--out", str(tmp_path / "d")]) == 3
+    assert "shows period 1, not the formula's 2" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_piece_budget_exits_3(tmp_path, monkeypatch, capsys):
@@ -163,8 +197,8 @@ FLAGS = {
 }
 READ_FLAGS = {
     "density": {"--map", "--a", "--grid", "--out", "--format"},
-    "variance": {"--map", "--a", "--grid", "--trunc", "--out"},
-    "simulate": {"--map", "--a", "--grid", "--steps", "--paths", "--seed", "--trunc", "--out"},
+    "variance": {"--map", "--a", "--trunc", "--out"},
+    "simulate": {"--map", "--a", "--steps", "--paths", "--seed", "--trunc", "--out"},
     "verify": {"--grid", "--seed", "--out", "--only"},
 }
 
@@ -225,6 +259,9 @@ def test_runconfig_bounds():
     for levels in (-3, -1, 17):
         with pytest.raises(ValueError):
             RunConfig(dyadic_levels=levels).validate()
+    with pytest.raises(ValueError, match="window m = 9"):
+        RunConfig(a=2.0 ** (1.0 / 512)).validate()
+    RunConfig(a=2.0 ** (1.0 / 256)).validate()   # m = 8, the deepest window accepted
     RunConfig().validate()
     RunConfig(truncation_J=2**16, dyadic_levels=16).validate()
     RunConfig(truncation_J=0, dyadic_levels=0).validate()
@@ -261,11 +298,12 @@ def test_density_json_format_inlines_table(tmp_path):
 # SHA-256 of every file each run writes; any change to these bytes must be
 # deliberate.  The three-branch runs and the tent 1.3 density CSV are as first
 # recorded; the other tent files were re-recorded once the reductions stopped
-# going through BLAS.
+# going through BLAS, and the tent variance and simulate files again once the
+# tent density became the closed form.
 PINNED_RUNS = {
     "variance_tent_1.8": (
         ["variance", "--map", "tent", "--a", "1.8"],
-        {"run.json": "8590e81b07deeaa7c7fd986d8e016497dc11f32091a39ec21c9b7d237562f0ed"},
+        {"run.json": "b1d565c6229677424cd006e57fdd2d84c111f955002bcf4ff4f26c41a5c512d8"},
     ),
     "variance_three_branch": (
         ["--config", "levels.cfg", "variance", "--map", "three-branch"],
@@ -288,8 +326,8 @@ PINNED_RUNS = {
     # the float orbit engine
     "simulate_tent_1.3": (
         ["simulate", "--map", "tent", "--a", "1.3", "--paths", "200", "--steps", "256", "--seed", "7"],
-        {"run.csv": "360521244366232218b9481dd672ac4bcf56b16885fd0145d4098679ff59eb3a",
-         "run.json": "915bf48588be30411107349582e88647bf2315766de3109e20e002a378883c56"},
+        {"run.csv": "5843dc9996d29450d365f9a90a49953fb9ac0c0a0932a38f79e6d9a9ddd53867",
+         "run.json": "4fc6ac3758a7af236a8bf2f9cd67e301984e73770edc0a6dba33271a0546207a"},
     ),
 }
 

@@ -1,9 +1,12 @@
 """Ulam discretization, stationary densities, periodicity detection, and the
-exact density recursion."""
+tent density in closed form."""
+
+import math
 
 import numpy as np
 import pytest
 
+import references as ref
 from ergclt.cli import main
 from ergclt.densities import (
     ConvergenceError,
@@ -13,7 +16,8 @@ from ergclt.densities import (
     tent_ulam_density,
     ulam_matrix,
 )
-from ergclt.maps import tent_map, tent_period, tent_support_cycle, three_branch_map
+from ergclt.maps import squared_param, tent_map, tent_period, tent_support_cycle, three_branch_map
+from ergclt.transfer import frobenius_perron
 
 
 def test_ulam_tent2_two_cells():
@@ -89,7 +93,7 @@ def test_detect_periodicity_grid4096(a):
 
 @pytest.mark.parametrize("a", [2.0, 1.8, 1.5, 1.3, 1.2, 1.1])
 def test_tent_density_normalized(a):
-    g = tent_density(a, 1024)
+    g = tent_density(a)
     assert g.integral() == pytest.approx(1.0, abs=1e-6)
     assert g.intercepts.min() >= -1e-12
 
@@ -98,11 +102,12 @@ def test_tent_density_normalized(a):
     (1.003527, True), (1.006, True), (1.0095, False), (1.01, False), (1.011, False),
 ])
 def test_tent_density_deep_window_mass_check(a, loses_mass):
-    """Deep windows have cells narrower than the breakpoint merge tolerance;
-    an assembly that loses mass raises instead of returning the result, and
-    says which parameter was asked for."""
+    """Deep windows have cycle intervals too narrow for float64; a density
+    with no mass on its support cycle, or one that P does not fix to
+    MEASURE_TOL, raises instead of returning the result, and says which
+    parameter was asked for."""
     if loses_mass:
-        with pytest.raises(ConvergenceError, match="lost mass") as err:
+        with pytest.raises(ConvergenceError, match="the tent density at a=") as err:
             tent_density(a)
         assert f"a={a!r} " in str(err.value)  # the parameter asked for, not an inner level
     else:
@@ -110,25 +115,45 @@ def test_tent_density_deep_window_mass_check(a, loses_mass):
 
 
 def test_tent_density_base_case():
-    g = tent_density(2.0, 512)
+    g = tent_density(2.0)
     assert g.num_pieces == 1
     assert g(0.123) == 0.5
 
 
 def test_tent_density_cross_validation():
-    """Recursion from the squared parameter vs direct Ulam at the parameter."""
-    exact = tent_density(1.3, 4096)
+    """The closed form vs direct Ulam at the parameter."""
+    exact = tent_density(1.3)
     ulam = tent_ulam_density(1.3, 8192)
     assert (exact - ulam).norm_l1() <= 2e-2
 
 
 @pytest.mark.parametrize("a", [1.3, 1.25, 1.1])
 def test_cycle_masses_equal_share(a):
-    g = tent_density(a, 4096)
+    g = tent_density(a)
     cyc = tent_support_cycle(a)
     r = cyc.period
     for iv in cyc.intervals:
         assert g.integral(iv.lo, iv.hi) == pytest.approx(1.0 / r, abs=2e-2)
+
+
+GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0   # c_3 = 0: the critical point is periodic
+
+
+@pytest.mark.parametrize("a", [2.0, math.sqrt(2.0), GOLDEN, 2.0**0.25, 1.3, 1.1, 1.08, 1.03])
+def test_tent_density_closed_form_is_invariant(a):
+    """g >= 0, ∫g = 1 and Pg = g, each to rounding."""
+    g = tent_density(a)
+    assert g.intercepts.min() >= 0.0
+    assert abs(g.integral() - 1.0) <= 1e-14
+    assert (frobenius_perron(tent_map(a), g) - g).norm_l1() <= 1e-12
+
+
+@pytest.mark.parametrize("a", [1.3, 1.1])
+def test_tent_density_matches_conjugacy_assembly(a):
+    """The closed form at a equals the density assembled through the
+    conjugacy from the closed form at a^2."""
+    assembled = ref.tent_density_from_square(a, tent_density(squared_param(a)))
+    assert (tent_density(a) - assembled).norm_l1() <= 1e-14
 
 
 def test_cycle_masses_from_raw_ulam():

@@ -416,7 +416,7 @@ def test_maximal_inequality_three_branch(n):
 
 def test_maximal_inequality_random_observables():
     from ergclt.maps import _tent_core_interval
-    sys13 = tent_system(1.3, 1024)
+    sys13 = tent_system(1.3)
     core = _tent_core_interval(1.3)
     rng = np.random.default_rng(43)
     for i in range(10):

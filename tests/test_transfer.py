@@ -101,7 +101,7 @@ def test_preimage_integration_oracle():
 
 
 def test_normalized_transfer_constants_and_conservation():
-    g = tent_density(1.5, 1024)
+    g = tent_density(1.5)
     nt = NormalizedTransfer(tent_map(1.5), g)
     one = PAF.constant(-1, 1, 1.0)
     out = nt(one)
@@ -175,7 +175,7 @@ def test_duality_on_step_functions():
 def test_contraction_in_l1_and_l2():
     rng = np.random.default_rng(6)
     # L1 contraction is exact for any reference density
-    g = tent_density(1.7, 2048)
+    g = tent_density(1.7)
     nt = NormalizedTransfer(tent_map(1.7), g)
     for _ in range(10):
         f = random_step(rng)
@@ -221,7 +221,7 @@ def test_condition_report_three_branch():
 
 
 def test_condition_report_subadditivity_and_monotone_partials():
-    g = tent_density(1.5, 1024)
+    g = tent_density(1.5)
     nt = NormalizedTransfer(tent_map(1.5), g)
     m = integrate_product([PAF.affine(-1, 1, 1, 0), g])
     h = Observable(PAF.affine(-1, 1, 1.0, -m), "tent(a=1.5)")
@@ -373,7 +373,7 @@ DYADIC_VALUES = st.integers(1, 4).flatmap(
 @given(TENT_A, st.integers(0, 2**16), st.sampled_from([1, 2]))
 def test_property_iterates_match_plain_loop_tent(a, seed, step):
     """Centered steps, whose iterates decay and cross small norm ratios."""
-    g = tent_density(a, 256)
+    g = tent_density(a)
     f = random_step(np.random.default_rng(seed))
     f = f - PAF.constant(-1.0, 1.0, integrate_product([f, g]))
     nt = NormalizedTransfer(tent_map(a), g)
@@ -415,7 +415,7 @@ from ergclt.simulate import dyadic_block_norms
 
 tb = three_branch_system()
 out = {"three_branch": dyadic_block_norms(tb.observable, tb.transfer, 10)}
-sys13 = tent_system(1.3, 1024)
+sys13 = tent_system(1.3)
 core = _tent_core_interval(1.3)
 rng = np.random.default_rng(2006)
 for i in range(2):
@@ -436,22 +436,22 @@ print(json.dumps(out))
 
 PINNED_HEX = {
     "three_branch": ["0x0.0p+0"] * 10,
-    "random_0": ["0x1.61e4d5df8cf9ap-2", "0x1.c3e678acd6213p-2", "0x1.e36367cf7d448p-2", "0x1.f4593ac6f0a50p-2",
-                 "0x1.d61b4b62f7523p-2", "0x1.cd5dfe30be485p-2", "0x1.ce2a7fc2debe9p-2", "0x1.ce2b68f29dc5fp-2",
-                 "0x1.ce2b68f3b174fp-2", "0x1.ce2b68f3b175cp-2"],
-    "random_1": ["0x1.7c5e3a04ccefcp-1", "0x1.d57d2882c4e54p-1", "0x1.7da2abbaf0c57p-1", "0x1.87ddca4a53e05p-1",
-                 "0x1.88f568db678ccp-1", "0x1.8b58073f1187ap-1", "0x1.8b4e5f4c1490bp-1", "0x1.8b4e61c25abb3p-1",
-                 "0x1.8b4e61c274de9p-1", "0x1.8b4e61c274df5p-1"],
-    "autocov_1.3": ["0x1.ac990450a21f0p-18", "0x1.7ceb6522fb8b0p-45"],
+    "random_0": ["0x1.630e4ad3ce980p-2", "0x1.c545ab2e94ca0p-2", "0x1.e3e4eac7ab120p-2", "0x1.f2675490b7eb0p-2",
+                 "0x1.d64bc1f861c72p-2", "0x1.cd0ff1420b075p-2", "0x1.cdd7c6a9357ebp-2", "0x1.cdd8af4341f05p-2",
+                 "0x1.cdd8af4454072p-2", "0x1.cdd8af4454074p-2"],
+    "random_1": ["0x1.7c3b70272b5f2p-1", "0x1.d543043044211p-1", "0x1.7df4fd5ced3e2p-1", "0x1.88996c7ad97f2p-1",
+                 "0x1.896180b7f8945p-1", "0x1.8b4bca9110b8cp-1", "0x1.8b3f9e94a9783p-1", "0x1.8b3fa0290677dp-1",
+                 "0x1.8b3fa02920e8fp-1", "0x1.8b3fa02920e89p-1"],
+    "autocov_1.3": ["0x1.ac63eac9ac5a0p-18", "0x1.83a3d87d5cc29p-45"],
     # sha256 of the run.json that `variance --map tent --a 1.8` writes
-    "variance_tent_1.8": ["8590e81b07deeaa7c7fd986d8e016497dc11f32091a39ec21c9b7d237562f0ed"],
+    "variance_tent_1.8": ["b1d565c6229677424cd006e57fdd2d84c111f955002bcf4ff4f26c41a5c512d8"],
 }
 
 
 @pytest.mark.parametrize("blas_threads", ["1", "2"])
 def test_library_values_pinned(blas_threads, tmp_path):
     """`maximal`-style block norms (q = 10: the three-branch observable and two
-    random tent 1.3 steps, grid 1024) and the tent 1.3 autocov variance, to
+    random tent 1.3 steps) and the tent 1.3 autocov variance, to
     the last bit, plus the sha256 of the files `variance --map tent --a 1.8`
     writes.  No CLI output covers the first two.  The probe runs in a fresh
     interpreter with the BLAS thread count set before numpy loads; the bits
