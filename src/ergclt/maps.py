@@ -86,6 +86,8 @@ class PiecewiseLinearMap:
             if abs(piece.lo - prev) > tol:
                 raise ValueError("branch pieces must tile the domain without gaps")
             prev = piece.hi
+            if s == 0.0:
+                raise ValueError(f"flat branch on [{piece.lo}, {piece.hi}]: the transfer operator is undefined")
             for x in (piece.lo, piece.hi):
                 y = s * x + c
                 if not self.domain.contains(y, tol=1e-9):
@@ -104,14 +106,10 @@ class PiecewiseLinearMap:
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        xv = np.atleast_1d(x)
-        if not np.all((self.domain.lo <= xv) & (xv <= self.domain.hi)):
+        if not np.all((self.domain.lo <= x) & (x <= self.domain.hi)):
             raise ValueError("point outside the map domain (or NaN)")
-        idx = self.branch_index(xv)
-        out = self._slopes[idx] * xv + self._intercepts[idx]
-        np.clip(out, self.domain.lo, self.domain.hi, out=out)
-        return float(out[0]) if scalar else out
+        out = self.step(np.atleast_1d(x))
+        return float(out[0]) if x.ndim == 0 else out
 
     def step(self, x: np.ndarray) -> np.ndarray:
         """Vectorized map application without domain checks (hot loop use)."""
@@ -267,7 +265,8 @@ def tent_support_cycle(a: float) -> SupportCycle:
     return cycle
 
 
-def _verify_cycle(map_: PiecewiseLinearMap, cycle: SupportCycle, tol: float = 1e-10):
+def _verify_cycle(map_: PiecewiseLinearMap, cycle: SupportCycle):
+    tol = 1e-10
     for j, iv in enumerate(cycle.intervals):
         nxt = cycle.intervals[(j + 1) % cycle.period]
         img = map_.image_of(iv)

@@ -277,13 +277,8 @@ class PiecewiseAffineFunction:
 
     def windowed_union(self, intervals) -> "PiecewiseAffineFunction":
         """Multiply by the indicator of a union of intervals; the span is unchanged."""
-        pts = [p for (a, b) in intervals for p in (a, b)]
-        grid = _dedupe_breakpoints(np.unique(np.concatenate([self.breakpoints, np.array(pts, dtype=float)])))
-        grid = grid[(grid >= self.lo) & (grid <= self.hi)]
-        if grid[0] > self.lo:
-            grid = np.concatenate(([self.lo], grid))
-        if grid[-1] < self.hi:
-            grid = np.concatenate((grid, [self.hi]))
+        ends = np.clip(np.array([p for (a, b) in intervals for p in (a, b)], dtype=float), self.lo, self.hi)
+        grid = _dedupe_breakpoints(_sorted_union([self.breakpoints, ends]))
         mids = 0.5 * (grid[:-1] + grid[1:])
         sl, ic = self._coeffs_on(mids)
         keep = np.zeros(len(mids), dtype=bool)

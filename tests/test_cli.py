@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from ergclt import cli, piecewise
+from ergclt import cli, clt, densities, piecewise
 from ergclt.cli import RunConfig, main
 
 SQRT2 = math.sqrt(2.0)
@@ -147,7 +147,7 @@ def test_density_grid_that_cannot_resolve_the_cycle_exits_2(a, grid, need, tmp_p
 def test_density_period_against_the_formula_exits_3(tmp_path, monkeypatch, capsys):
     """A detected period that the window formula contradicts is a numerical
     failure, and no file is written."""
-    monkeypatch.setattr(cli, "detect_periodicity", lambda op: 1)
+    monkeypatch.setattr(cli, "detect_periodicity", lambda op, density: 1)
     assert main(["density", "--map", "tent", "--a", "1.3", "--grid", "1024", "--out", str(tmp_path / "d")]) == 3
     assert "shows period 1, not the formula's 2" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
@@ -208,7 +208,7 @@ def test_each_command_takes_only_the_flags_it_reads(command, monkeypatch, capsys
     """A flag the command does not read exits 2 and names the command and the
     flag; a flag it reads reaches the resolved config."""
     seen = []
-    monkeypatch.setattr(cli, "cmd_" + command, lambda config: seen.append(config) or 0)
+    monkeypatch.setattr(cli, "cmd_" + command, lambda config, *given: seen.append(config) or 0)
     for flag, (key, arg, value) in FLAGS.items():
         if flag in READ_FLAGS[command]:
             assert main([command, flag, arg]) == 0
@@ -241,6 +241,57 @@ def test_verify_writes_report(tmp_path):
     rep = read_json(out + ".json")
     assert rep["passed"] is True
     assert rep["criteria"][0]["name"] == "worked_variance"
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_verify_out_at_the_default_name_writes_the_report(how, tmp_path, monkeypatch):
+    """--out (or its key) writes <out>.json even when it names the default;
+    without it no file is written."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "--only", "worked_variance"]) == 0
+    assert not list(tmp_path.iterdir())
+    (tmp_path / "v.cfg").write_text("output_path=ergclt_out\n")
+    given = ["--out", "ergclt_out"] if how == "flag" else []
+    config = ["--config", "v.cfg"] if how == "config" else []
+    assert main(config + ["verify", "--only", "determinism"] + given) == 0
+    assert read_json(tmp_path / "ergclt_out.json")["passed"] is True
+
+
+def test_verify_grid_at_the_default_value_applies_to_every_periodicity_case(tmp_path):
+    """--grid sets the Ulam grid of every periodicity case, the default value
+    included; no case keeps its own resolving grid."""
+    out = str(tmp_path / "rep")
+    main(["verify", "--only", "periodicity", "--grid", "4096", "--out", out])
+    rows = read_json(out + ".json")["criteria"][0]["measured"]["rows"]
+    assert [r["grid"] for r in rows] == [4096] * 6
+
+
+def _counted(monkeypatch, name, *modules):
+    """The calls of `name` through any of `modules`, as a list that grows."""
+    calls = []
+    for module in modules:
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, real=real, **kw: calls.append(name) or real(*a, **kw))
+    return calls
+
+
+def test_density_solves_the_ulam_chain_once(tmp_path, monkeypatch):
+    """The detected period seeds from the density the command writes: one
+    Cesàro solve per run."""
+    calls = _counted(monkeypatch, "invariant_density", cli, densities)
+    assert main(["density", "--map", "tent", "--a", "1.3", "--grid", "1024", "--out", str(tmp_path / "d")]) == 0
+    assert len(calls) == 1
+
+
+def test_variance_above_sqrt2_sums_one_lag_series(tmp_path, monkeypatch):
+    """At period 1 autocov and resolvent are one lag sum, computed once and
+    written under both keys."""
+    calls = _counted(monkeypatch, "autocovariance_sequence", clt)
+    out = str(tmp_path / "v")
+    assert main(["variance", "--map", "tent", "--a", "1.8", "--out", out]) == 0
+    assert len(calls) == 1
+    body = read_json(out + ".json")
+    assert body["resolvent"] == dict(body["autocov"], method="resolvent")
 
 
 def test_runconfig_bounds():

@@ -1,6 +1,8 @@
 """Variance formulas: worked values, cross-method agreement, the parameter
 recursion, and the non-ergodic profiles."""
 
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -194,6 +196,22 @@ def test_estimator_agreement_mixing_windows(a):
     auto = sigma2_autocovariance(system.observable, system.map, system.transfer,
                                  tent_support_cycle(a))
     assert abs(res.sigma2 - auto.sigma2) <= res.tail_bound + auto.tail_bound + 1e-8
+
+
+@pytest.mark.parametrize("J", [0, 8, 64])
+def test_resolvent_is_autocov_at_period_1(J):
+    """At period 1 the autocov window is the whole support, so both routes are
+    one lag sum: the same bits, or the same DivergenceError message, for every
+    a in (√2, 2].  `variance` writes the autocov record under both keys."""
+    def record(route):
+        try:
+            return json.dumps(dataclasses.asdict(route()) | {"method": None})
+        except DivergenceError as exc:
+            return str(exc)
+    for a in np.linspace(2.0, SQRT2, 16, endpoint=False):
+        s = tent_system(float(a))
+        assert record(lambda: sigma2_resolvent(s.observable, s.transfer, J=J)) == record(
+            lambda: sigma2_autocovariance(s.observable, s.map, s.transfer, s.components[0], J=J))
 
 
 def test_resolvent_requires_centering():

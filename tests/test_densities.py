@@ -88,7 +88,7 @@ def test_invariant_density_vanishes_outside_core():
 @pytest.mark.parametrize("a", [2.0, 1.5, 1.3, 1.25, 1.1])
 def test_detect_periodicity_grid4096(a):
     op = ulam_matrix(tent_map(a), 4096)
-    assert detect_periodicity(op) == tent_period(a)
+    assert detect_periodicity(op, invariant_density(op)) == tent_period(a)
 
 
 @pytest.mark.parametrize("a", [2.0, 1.8, 1.5, 1.3, 1.2, 1.1])

@@ -193,6 +193,22 @@ def test_branch_index_and_step_clamp_to_the_domain():
     assert m.step(np.array([0.0, 0.5, 1.0])).tolist() == [0.0, (1.0 + 1e-9) * 0.5 - 5e-10, 1.0]
 
 
+def test_flat_branch_is_rejected():
+    """A zero-slope branch has no preimage density, so P is undefined there:
+    the map is refused at construction, not dropped by the transfer."""
+    with pytest.raises(ValueError, match="flat branch on \\[0.5, 1.0\\]"):
+        PiecewiseLinearMap(Interval(0.0, 1.0), [(Interval(0.0, 0.5), 2.0, 0.0), (Interval(0.5, 1.0), 0.0, 0.5)])
+
+
+@pytest.mark.parametrize("map_", [tent_map(1.3), tent_map(2.0), three_branch_map()], ids=["tent1.3", "tent2", "three"])
+def test_call_is_step_on_the_domain(map_):
+    """Evaluation is the domain check plus `step`: the same bits, for arrays and scalars."""
+    x = np.linspace(map_.domain.lo, map_.domain.hi, 1001)
+    assert map_(x).tobytes() == map_.step(x.copy()).tobytes()
+    for v in x[::97]:
+        assert np.float64(map_(float(v))).tobytes() == map_.step(np.array([v]))[:1].tobytes()
+
+
 @given(st.sampled_from(["tent", "three-branch", "short-image"]), st.floats(1.0 + 2e-6, 2.0), st.data())
 def test_property_branch_index_matches_searchsorted(kind, a, data):
     """Counting the inner edges at or below a point picks the branch that

@@ -135,6 +135,14 @@ def test_windowing():
     assert wu.integral() == pytest.approx(1.6, abs=1e-14)
 
 
+def test_windowing_emits_no_cell_below_the_breakpoint_tolerance():
+    """A window end within _BP_EPS of the span end merges into it, as every
+    grid union does; it leaves no sliver cell."""
+    w = PAF.constant(-1.0, 1.0, 1.0).windowed_union([(0.0, 1.0 - 3e-16), (0.5, 1.5)])
+    assert w.breakpoints.tolist() == [-1.0, 0.0, 0.5, 1.0]
+    assert w.intercepts.tolist() == [0.0, 1.0, 1.0]
+
+
 def test_abs_and_norms():
     f = PAF.affine(-1.0, 1.0, 1.0, 0.0)  # f(x) = x
     assert f.abs()(-0.5) == 0.5
