@@ -16,6 +16,7 @@ import json
 import os
 import sys
 import tempfile
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass, fields
 
 from .clt import (
@@ -106,12 +107,16 @@ class RunConfig:
         return asdict(self)
 
 
-def _atomic_write(path: str, data: str):
+def _atomic_write(path: str, data: str | Iterable[str]):
+    """Write the text `data`, or its consecutive pieces, to `path` atomically."""
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".ergclt_tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(data)
+            if isinstance(data, str):
+                fh.write(data)
+            else:
+                fh.writelines(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -123,6 +128,20 @@ def _json_payload(config: RunConfig, body: dict) -> str:
     payload = {"schema_version": SCHEMA_VERSION, "config": config.resolved()}
     payload.update(body)
     return json.dumps(payload, sort_keys=True, default=float) + "\n"
+
+
+# Rows of the density CSV formatted per write, so the whole text is never held.
+_CSV_BLOCK_ROWS = 4096
+
+
+def _density_csv(density) -> Iterator[str]:
+    """The density table as CSV text, in blocks of _CSV_BLOCK_ROWS rows."""
+    yield "cell_lo,cell_hi,value\n"
+    edges, values = density.breakpoints, density.piece_values()
+    for lo in range(0, len(values), _CSV_BLOCK_ROWS):
+        cuts = list(map(repr, edges[lo:lo + _CSV_BLOCK_ROWS + 1].tolist()))
+        vals = map(repr, values[lo:lo + _CSV_BLOCK_ROWS].tolist())
+        yield "\n".join(map(",".join, zip(cuts, cuts[1:], vals))) + "\n"
 
 
 def cmd_density(config: RunConfig) -> int:
@@ -144,13 +163,11 @@ def cmd_density(config: RunConfig) -> int:
             raise DetectionError(f"the Ulam chain at a={config.a!r}, grid {config.grid_n}, shows period "
                                  f"{meta['period_detected']}, not the formula's {meta['period_formula']}")
         meta["cycle_masses"] = [density.integral(iv.lo, iv.hi) for iv in tent_support_cycle(config.a).intervals]
-    edges, values = density.breakpoints.tolist(), density.piece_values().tolist()
     if config.format == "json":
+        edges, values = density.breakpoints.tolist(), density.piece_values().tolist()
         meta["cells"] = [{"cell_lo": lo, "cell_hi": hi, "value": v} for lo, hi, v in zip(edges, edges[1:], values)]
     else:
-        edges, values = list(map(repr, edges)), list(map(repr, values))
-        rows = map(",".join, zip(edges, edges[1:], values))
-        _atomic_write(config.output_path + ".csv", "cell_lo,cell_hi,value\n" + "\n".join(rows) + "\n")
+        _atomic_write(config.output_path + ".csv", _density_csv(density))
     _atomic_write(config.output_path + ".json", _json_payload(config, meta))
     return 0
 

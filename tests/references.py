@@ -9,16 +9,23 @@ package to their bytes:
   interpolation bound, iterate norms and decay-rate fit it used to compute;
 - the conjugacy assembly that built the tent density at a <= sqrt(2) from
   the density at a^2, one level per squaring, before the density had a
-  closed form.  It is now an identity the closed form must satisfy.
+  closed form.  It is now an identity the closed form must satisfy;
+- the Ulam push as a row vector times the row-stochastic matrix, and the
+  Cesaro power iteration that kept its last 64 iterates in a deque and
+  averaged each window with `np.mean` over the stacked iterates;
+- the density CSV rendered as one text, and the sample CSV written one
+  formatted row at a time.
 """
 
 import itertools
 import math
+from collections import deque
 
 import numpy as np
 
 from ergclt.clt import (VarianceProfile, _clamp_sigma2, _fit_slope, _geometric_tail,
                         autocovariance_sequence, blocked_observable)
+from ergclt.densities import _CESARO_WINDOWS, _POWER_MAX_ITER, ConvergenceError, UlamOperator
 from ergclt.maps import Interval, tent_conjugacy, tent_fixed_point
 from ergclt.piecewise import MEASURE_TOL, PiecewiseAffineFunction, integrate_product, pw_sum
 from ergclt.simulate import _STREAM_BITS, _TWO64, _dyadic_engine_params, _rng
@@ -179,3 +186,61 @@ def tent_density_from_square(a, g_sq):
     sl = np.concatenate((central.slopes, right.slopes))
     ic = np.concatenate((central.intercepts, right.intercepts))
     return PiecewiseAffineFunction(bp, sl, ic).embed(-1.0, 1.0).pruned()
+
+
+class RowPushUlam(UlamOperator):
+    """An Ulam operator that pushes a mass vector as `d @ rows`."""
+
+    def apply_to_masses(self, d):
+        return d @ self.rows
+
+
+def invariant_density(op, *, tol=1e-10, return_info=False):
+    n = op.grid_n
+    buf_len = max(_CESARO_WINDOWS)
+    d = np.full(n, 1.0 / n)
+    buf = deque([d], maxlen=buf_len)
+    best_res = math.inf
+    best = d
+    check_every = buf_len
+    steps = 0
+    while steps < _POWER_MAX_ITER:
+        for _ in range(check_every):
+            d = op.apply_to_masses(d)
+            steps += 1
+            buf.append(d)
+        recent = list(buf)
+        for wdw in _CESARO_WINDOWS:
+            if len(recent) < wdw:
+                continue
+            avg = np.mean(recent[-wdw:], axis=0)
+            avg = avg / avg.sum()
+            res = float(np.abs(op.apply_to_masses(avg) - avg).sum())
+            if res < best_res:
+                best_res = res
+                best = avg
+        if best_res <= tol:
+            break
+        check_every = min(2 * check_every, 4096)
+    if best_res > tol:
+        raise ConvergenceError(f"no invariant density after {steps} iterations", best_res)
+    best = np.maximum(best, 0.0)
+    best /= best.sum()
+    fn = op.masses_to_density(best)
+    if return_info:
+        return fn, {"residual": best_res, "iterations": steps}
+    return fn
+
+
+def sample_csv(sample, path):
+    with open(path, "w", newline="") as fh:
+        fh.write("path_id,t,value\n")
+        for i in range(sample.paths.shape[0]):
+            for t, v in zip(sample.t_grid, sample.paths[i]):
+                fh.write(f"{i},{float(t)!r},{float(v)!r}\n")
+
+
+def density_csv(density):
+    edges = list(map(repr, density.breakpoints.tolist()))
+    values = list(map(repr, density.piece_values().tolist()))
+    return "cell_lo,cell_hi,value\n" + "\n".join(map(",".join, zip(edges, edges[1:], values))) + "\n"

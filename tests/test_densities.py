@@ -2,6 +2,7 @@
 tent density in closed form."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -55,6 +56,65 @@ def test_mass_conservation_and_positivity_of_action():
     out = op.apply_to_masses(d)
     assert out.min() >= 0.0
     assert out.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: (tent_map(2.0), 1024),
+    lambda: (tent_map(1.3), 4096),
+    lambda: (tent_map(1.1), 65536),
+    lambda: (three_branch_map(), 1000),
+])
+def test_push_matches_row_vector_product(build):
+    """The stored push gives d @ rows bit for bit on random mass vectors."""
+    map_, n = build()
+    op = ulam_matrix(map_, n)
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        d = rng.uniform(0, 1, n)
+        assert op.apply_to_masses(d).tobytes() == (d @ op.rows).tobytes()
+
+
+@pytest.mark.parametrize("n", [1024, 65536])
+@pytest.mark.parametrize("build", [
+    lambda: tent_map(2.0), lambda: tent_map(1.5), lambda: tent_map(1.3), lambda: tent_map(1.1),
+    three_branch_map,
+], ids=["tent2", "tent1.5", "tent1.3", "tent1.1", "three_branch"])
+def test_invariant_density_matches_stacked_mean_reference(build, n):
+    """Running window sums and the stored push give the bytes, residual and
+    iteration count of the deque of iterates, np.mean and d @ rows; the
+    detected period is the same too."""
+    op = ulam_matrix(build(), n)
+    old_op = ref.RowPushUlam(op.grid_n, op.domain, op.rows)
+    fn, info = invariant_density(op, return_info=True)
+    old_fn, old_info = ref.invariant_density(old_op, return_info=True)
+    assert fn.breakpoints.tobytes() == old_fn.breakpoints.tobytes()
+    assert fn.intercepts.tobytes() == old_fn.intercepts.tobytes()
+    assert float.hex(info["residual"]) == float.hex(old_info["residual"])
+    assert info["iterations"] == old_info["iterations"]
+    assert detect_periodicity(op, fn) == detect_periodicity(old_op, old_fn)
+
+
+def _traced_peak_mib(run) -> float:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_invariant_density_memory_bounded():
+    """The a = 1.5 chain at 65,536 cells keeps seven window sums, not 64
+    stacked iterates (67 MiB traced with them)."""
+    op = ulam_matrix(tent_map(1.5), 65536)
+    assert _traced_peak_mib(lambda: invariant_density(op)) <= 16.0
+
+
+def test_density_command_memory_bounded(tmp_path):
+    """`density` at 65,536 cells writes its CSV in blocks, never the whole text
+    at once (67 MiB traced with the stacked iterates and the one text)."""
+    argv = ["density", "--map", "tent", "--a", "1.5", "--grid", "65536", "--out", str(tmp_path / "d")]
+    assert _traced_peak_mib(lambda: main(argv)) <= 24.0
 
 
 def test_invariant_density_tent2_exact():
@@ -170,6 +230,16 @@ def test_export_density_csv(tmp_path):
     assert lines[0] == "cell_lo,cell_hi,value"
     lo, hi, v = lines[1].split(",")
     assert float(lo) == -1.0 and float(v) == 0.5
+
+
+@pytest.mark.parametrize("grid", [4096, 9000])
+def test_density_csv_blocks_match_one_text(tmp_path, grid):
+    """A CSV written in row blocks, the last one partial or not, has the
+    bytes of the table rendered as one text."""
+    out = tmp_path / "density"
+    assert main(["density", "--map", "tent", "--a", "2", "--grid", str(grid), "--out", str(out)]) == 0
+    density = invariant_density(ulam_matrix(tent_map(2.0), grid))
+    assert (tmp_path / "density.csv").read_bytes() == ref.density_csv(density).encode()
 
 
 def test_ulam_requires_two_cells():

@@ -280,6 +280,18 @@ def test_csv_round_trip(tmp_path):
     assert float(v) == sample.paths[0, 0]
 
 
+@pytest.mark.parametrize("shape", [(4, 3), (1, 1), (0, 2), (3, 0)])
+def test_csv_matches_row_by_row_reference(tmp_path, shape):
+    """The one-write table has the bytes of the row-at-a-time writer, signed
+    zeros, infinities, NaN and subnormals included."""
+    special = [0.0, -0.0, math.inf, -math.nan, 5e-324, 1.0 / 3.0, -1e300, 123456789.0]
+    paths = np.resize(np.array(special), shape[0] * shape[1]).reshape(shape)
+    sample = simulate.CltSample(n=8, t_grid=np.linspace(0.0, 1.0, shape[1]), paths=paths)
+    sample.to_csv(str(tmp_path / "new.csv"))
+    ref.sample_csv(sample, str(tmp_path / "old.csv"))
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
 # ----------------------------------------------------------------------
 # KS statistic and mixture CDF
 # ----------------------------------------------------------------------
