@@ -130,18 +130,36 @@ def _json_payload(config: RunConfig, body: dict) -> str:
     return json.dumps(payload, sort_keys=True, default=float) + "\n"
 
 
-# Rows of the density CSV formatted per write, so the whole text is never held.
-_CSV_BLOCK_ROWS = 4096
+# Rows of the density CSV or cells of its JSON list formatted per write, so
+# the whole text is never held.
+_BLOCK_ROWS = 4096
 
 
 def _density_csv(density) -> Iterator[str]:
-    """The density table as CSV text, in blocks of _CSV_BLOCK_ROWS rows."""
+    """The density table as CSV text, in blocks of _BLOCK_ROWS rows."""
     yield "cell_lo,cell_hi,value\n"
     edges, values = density.breakpoints, density.piece_values()
-    for lo in range(0, len(values), _CSV_BLOCK_ROWS):
-        cuts = list(map(repr, edges[lo:lo + _CSV_BLOCK_ROWS + 1].tolist()))
-        vals = map(repr, values[lo:lo + _CSV_BLOCK_ROWS].tolist())
+    for lo in range(0, len(values), _BLOCK_ROWS):
+        cuts = list(map(repr, edges[lo:lo + _BLOCK_ROWS + 1].tolist()))
+        vals = map(repr, values[lo:lo + _BLOCK_ROWS].tolist())
         yield "\n".join(map(",".join, zip(cuts, cuts[1:], vals))) + "\n"
+
+
+def _density_json(config: RunConfig, meta: dict, density) -> Iterator[str]:
+    """`_json_payload` of meta with the density table as its "cells" list,
+    in pieces: the cells are encoded _BLOCK_ROWS at a time, so neither
+    the list nor the whole text is held.  Each block is `json.dumps` of its
+    cells with the list brackets cut off, and the blocks are joined by the
+    list separator, which gives the bytes of the whole list dumped at once."""
+    head, tail = _json_payload(config, dict(meta, cells=[])).split('"cells": []', 1)
+    yield head + '"cells": ['
+    edges, values = density.breakpoints, density.piece_values()
+    for lo in range(0, len(values), _BLOCK_ROWS):
+        cuts = edges[lo:lo + _BLOCK_ROWS + 1].tolist()
+        cells = [{"cell_lo": a, "cell_hi": b, "value": v}
+                 for a, b, v in zip(cuts, cuts[1:], values[lo:lo + _BLOCK_ROWS].tolist())]
+        yield (", " if lo else "") + json.dumps(cells, sort_keys=True, default=float)[1:-1]
+    yield "]" + tail
 
 
 def cmd_density(config: RunConfig) -> int:
@@ -164,11 +182,10 @@ def cmd_density(config: RunConfig) -> int:
                                  f"{meta['period_detected']}, not the formula's {meta['period_formula']}")
         meta["cycle_masses"] = [density.integral(iv.lo, iv.hi) for iv in tent_support_cycle(config.a).intervals]
     if config.format == "json":
-        edges, values = density.breakpoints.tolist(), density.piece_values().tolist()
-        meta["cells"] = [{"cell_lo": lo, "cell_hi": hi, "value": v} for lo, hi, v in zip(edges, edges[1:], values)]
+        _atomic_write(config.output_path + ".json", _density_json(config, meta, density))
     else:
         _atomic_write(config.output_path + ".csv", _density_csv(density))
-    _atomic_write(config.output_path + ".json", _json_payload(config, meta))
+        _atomic_write(config.output_path + ".json", _json_payload(config, meta))
     return 0
 
 

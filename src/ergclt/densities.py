@@ -33,6 +33,13 @@ class DetectionError(RuntimeError):
     """No support cycle found within the iteration budget."""
 
 
+# Each Ulam row sums to 1 up to the rounding of the `linspace` edges, which
+# the division by the cell width magnifies n-fold: a row may miss 1 by this
+# many times n * 2^-52.  Over grids in [2, 65536] on the tent and
+# three-branch maps the worst measured error is 0.685 times n * 2^-52.
+ROW_SUM_ULPS = 4.0
+
+
 @dataclass
 class UlamOperator:
     """Row-stochastic discretization of the transfer operator on a uniform grid.
@@ -42,7 +49,8 @@ class UlamOperator:
     push is built once as `pushes`, the transpose stored by target cell, so
     that each step is one CSR matvec: it sums every target cell over its
     source cells in ascending order, as `d @ rows` does, and gives the same
-    bits without a transpose and a scatter per step.
+    bits without a transpose and a scatter per step.  Rows whose sums miss 1
+    by more than ROW_SUM_ULPS * grid_n * 2^-52 raise ValueError.
     """
 
     grid_n: int
@@ -51,6 +59,9 @@ class UlamOperator:
     pushes: sp.csr_matrix = field(init=False, repr=False)
 
     def __post_init__(self):
+        err = self.row_sum_error()
+        if err > ROW_SUM_ULPS * self.grid_n * 2.0**-52:
+            raise ValueError(f"Ulam rows are not stochastic (max error {err:.3e})")
         self.pushes = self.rows.T.tocsr()
 
     @property
@@ -118,11 +129,7 @@ def ulam_matrix(map_: PiecewiseLinearMap, n: int) -> UlamOperator:
         shape=(n, n),
     ).tocsr()
     mat.sum_duplicates()
-    op = UlamOperator(grid_n=n, domain=map_.domain, rows=mat)
-    err = op.row_sum_error()
-    if err > 1e-12:
-        raise ValueError(f"Ulam rows are not stochastic (max error {err:.3e})")
-    return op
+    return UlamOperator(grid_n=n, domain=map_.domain, rows=mat)
 
 
 _CESARO_WINDOWS = (1, 2, 4, 8, 16, 32, 64)

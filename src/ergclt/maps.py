@@ -78,6 +78,9 @@ class PiecewiseLinearMap:
         self._inner_edges = np.array([piece.hi for (piece, _, _) in self.branches[:-1]])
         self._slopes = np.array([s for (_, s, _) in self.branches])
         self._intercepts = np.array([c for (_, _, c) in self.branches])
+        # The geometry of recent transfer pushes, by input grid; kept and
+        # read by `transfer.frobenius_perron`.
+        self.push_plans: dict = {}
 
     def _validate(self):
         tol = 1e-12

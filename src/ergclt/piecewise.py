@@ -83,14 +83,41 @@ def _cells_covered(bp: np.ndarray, mids: np.ndarray):
     return slice(edges[0], edges[-1]), edges[1:] - edges[:-1]
 
 
-def _embedded(bp, sl, ic, lo: float, hi: float):
-    """The arrays of a function extended to [lo, hi] with zero pieces."""
+def _zero_pads(bp: np.ndarray, lo: float, hi: float) -> tuple[bool, bool]:
+    """Whether extending the grid bp to [lo, hi] adds a zero piece on the
+    left and on the right."""
     scale = max(1.0, abs(lo), abs(hi))
-    if lo < bp[0] - _BP_EPS * scale:
-        bp, sl, ic = np.concatenate(([lo], bp)), np.concatenate(([0.0], sl)), np.concatenate(([0.0], ic))
-    if hi > bp[-1] + _BP_EPS * scale:
-        bp, sl, ic = np.concatenate((bp, [hi])), np.concatenate((sl, [0.0])), np.concatenate((ic, [0.0]))
-    return bp, sl, ic
+    return bool(lo < bp[0] - _BP_EPS * scale), bool(hi > bp[-1] + _BP_EPS * scale)
+
+
+def _cell_index(bp: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Index of the cell of grid bp containing each x, clamped to the end cells."""
+    idx = bp.searchsorted(x, side="right") - 1
+    return np.minimum(np.maximum(idx, 0, out=idx), len(bp) - 2, out=idx)
+
+
+def _preimage_cells(bp: np.ndarray, slope: float, intercept: float, lo: float, hi: float):
+    """The geometry of x -> f(slope*x + intercept) on [lo, hi] for f on grid
+    bp, slope != 0: the composed grid, the cell of f behind each of its
+    cells, and the mask of its cells that map off f's span (None if none do).
+    It reads only bp, never f's values."""
+    # Preimages of f's breakpoints under the affine map, kept inside (lo, hi).
+    pre = (bp - intercept) / slope
+    if slope < 0:
+        pre = pre[::-1]
+    inner = pre[(pre > lo) & (pre < hi)]
+    grid = _dedupe_breakpoints(np.concatenate(([lo], inner, [hi])))
+    mids = 0.5 * (grid[:-1] + grid[1:])
+    y = slope * mids + intercept
+    idx = _cell_index(bp, y)
+    # f is 0 off its span, not its clamped end piece; y is monotone, so its
+    # ends show whether any cell maps off the span, and those cells are a
+    # prefix or a suffix of the grid's.
+    f_lo, f_hi = bp[0], bp[-1]
+    outside = None
+    if min(y[0], y[-1]) < f_lo or max(y[0], y[-1]) > f_hi:
+        outside = (y < f_lo) | (y > f_hi)
+    return grid, idx, outside
 
 
 class PiecewiseAffineFunction:
@@ -154,8 +181,7 @@ class PiecewiseAffineFunction:
 
     def cell_index(self, x: np.ndarray) -> np.ndarray:
         """Index of the cell containing each x (x must lie in the span)."""
-        idx = self.breakpoints.searchsorted(x, side="right") - 1
-        return np.minimum(np.maximum(idx, 0, out=idx), self.num_pieces - 1, out=idx)
+        return _cell_index(self.breakpoints, x)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -232,29 +258,13 @@ class PiecewiseAffineFunction:
             raise ValueError("empty target interval")
         if slope == 0.0:
             return PiecewiseAffineFunction.constant(lo, hi, self(intercept))
-        return PiecewiseAffineFunction(*self._composed(slope, intercept, lo, hi), validate=False)
-
-    def _composed(self, slope: float, intercept: float, lo: float, hi: float):
-        """Breakpoints, slopes and intercepts of `compose_affine` for slope != 0."""
-        # Preimages of f's breakpoints under the affine map, kept inside (lo, hi).
-        pre = (self.breakpoints - intercept) / slope
-        if slope < 0:
-            pre = pre[::-1]
-        inner = pre[(pre > lo) & (pre < hi)]
-        grid = _dedupe_breakpoints(np.concatenate(([lo], inner, [hi])))
-        mids = 0.5 * (grid[:-1] + grid[1:])
-        y = slope * mids + intercept
-        idx = self.cell_index(y)
+        grid, idx, outside = _preimage_cells(self.breakpoints, slope, intercept, lo, hi)
         sl = self.slopes[idx]
         sl, ic = sl * slope, sl * intercept + self.intercepts[idx]
-        # f is 0 off its span, not its clamped end piece; y is monotone, so
-        # its ends show whether any cell maps off the span.
-        f_lo, f_hi = self.breakpoints[0], self.breakpoints[-1]
-        if min(y[0], y[-1]) < f_lo or max(y[0], y[-1]) > f_hi:
-            outside = (y < f_lo) | (y > f_hi)
+        if outside is not None:
             sl[outside] = 0.0
             ic[outside] = 0.0
-        return grid, sl, ic
+        return PiecewiseAffineFunction(grid, sl, ic, validate=False)
 
     def compose_branches(self, branches) -> "PiecewiseAffineFunction":
         """Exact f(T(x)) for a map given as ordered (lo, hi, slope, intercept) branches."""
@@ -288,7 +298,12 @@ class PiecewiseAffineFunction:
 
     def embed(self, lo: float, hi: float) -> "PiecewiseAffineFunction":
         """Extend the span to [lo, hi] with zero pieces."""
-        bp, sl, ic = _embedded(self.breakpoints, self.slopes, self.intercepts, lo, hi)
+        bp, sl, ic = self.breakpoints, self.slopes, self.intercepts
+        left, right = _zero_pads(bp, lo, hi)
+        if left:
+            bp, sl, ic = np.concatenate(([lo], bp)), np.concatenate(([0.0], sl)), np.concatenate(([0.0], ic))
+        if right:
+            bp, sl, ic = np.concatenate((bp, [hi])), np.concatenate((sl, [0.0])), np.concatenate((ic, [0.0]))
         return PiecewiseAffineFunction(bp, sl, ic, validate=False)
 
     def pruned(self) -> "PiecewiseAffineFunction":
@@ -361,20 +376,15 @@ def pw_sum(fns) -> PiecewiseAffineFunction:
     covers; the rest of the union span adds nothing, which leaves the same
     bits as adding zero to a sum that starts at +0.0.
     """
-    return _sum_of_parts([(f.breakpoints, f.slopes, f.intercepts) for f in fns])
-
-
-def _sum_of_parts(parts) -> PiecewiseAffineFunction:
-    """`pw_sum` of summands given as (breakpoints, slopes, intercepts) arrays."""
-    grid = _dedupe_breakpoints(_sorted_union([bp for (bp, _, _) in parts]))
+    grid = _dedupe_breakpoints(_sorted_union([f.breakpoints for f in fns]))
     _check_budget(len(grid) - 1)
     mids = 0.5 * (grid[:-1] + grid[1:])
     sl = np.zeros(len(mids))
     ic = np.zeros(len(mids))
-    for (bp, s, c) in parts:
-        cells, counts = _cells_covered(bp, mids)
-        sl[cells] += s.repeat(counts)
-        ic[cells] += c.repeat(counts)
+    for f in fns:
+        cells, counts = _cells_covered(f.breakpoints, mids)
+        sl[cells] += f.slopes.repeat(counts)
+        ic[cells] += f.intercepts.repeat(counts)
     return PiecewiseAffineFunction(grid, sl, ic, validate=False)
 
 

@@ -14,10 +14,14 @@ package to their bytes:
   Cesaro power iteration that kept its last 64 iterates in a deque and
   averaged each window with `np.mean` over the stacked iterates;
 - the density CSV rendered as one text, and the sample CSV written one
-  formatted row at a time.
+  formatted row at a time;
+- the density JSON with its cell list built at once and dumped as one text;
+- the Perron-Frobenius push that recomputed its geometry (preimages,
+  union grid, cell cover) on every call.
 """
 
 import itertools
+import json
 import math
 from collections import deque
 
@@ -27,7 +31,7 @@ from ergclt.clt import (VarianceProfile, _clamp_sigma2, _fit_slope, _geometric_t
                         autocovariance_sequence, blocked_observable)
 from ergclt.densities import _CESARO_WINDOWS, _POWER_MAX_ITER, ConvergenceError, UlamOperator
 from ergclt.maps import Interval, tent_conjugacy, tent_fixed_point
-from ergclt.piecewise import MEASURE_TOL, PiecewiseAffineFunction, integrate_product, pw_sum
+from ergclt.piecewise import MEASURE_TOL, PiecewiseAffineFunction, _dedupe_breakpoints, integrate_product, pw_sum
 from ergclt.simulate import _STREAM_BITS, _TWO64, _dyadic_engine_params, _rng
 
 
@@ -244,3 +248,43 @@ def density_csv(density):
     edges = list(map(repr, density.breakpoints.tolist()))
     values = list(map(repr, density.piece_values().tolist()))
     return "cell_lo,cell_hi,value\n" + "\n".join(map(",".join, zip(edges, edges[1:], values))) + "\n"
+
+
+def density_json(payload, density):
+    edges, values = density.breakpoints.tolist(), density.piece_values().tolist()
+    payload = dict(payload, cells=[{"cell_lo": lo, "cell_hi": hi, "value": v}
+                                   for lo, hi, v in zip(edges, edges[1:], values)])
+    return json.dumps(payload, sort_keys=True, default=float) + "\n"
+
+
+def composed(f, slope, intercept, lo, hi):
+    pre = (f.breakpoints - intercept) / slope
+    if slope < 0:
+        pre = pre[::-1]
+    inner = pre[(pre > lo) & (pre < hi)]
+    grid = _dedupe_breakpoints(np.concatenate(([lo], inner, [hi])))
+    mids = 0.5 * (grid[:-1] + grid[1:])
+    y = slope * mids + intercept
+    idx = f.cell_index(y)
+    sl = f.slopes[idx]
+    sl, ic = sl * slope, sl * intercept + f.intercepts[idx]
+    f_lo, f_hi = f.breakpoints[0], f.breakpoints[-1]
+    if min(y[0], y[-1]) < f_lo or max(y[0], y[-1]) > f_hi:
+        outside = (y < f_lo) | (y > f_hi)
+        sl[outside] = 0.0
+        ic[outside] = 0.0
+    return grid, sl, ic
+
+
+def frobenius_perron(map_, f):
+    lo, hi = map_.domain.lo, map_.domain.hi
+    parts = []
+    for (piece, s, c) in map_.branches:
+        a_img, b_img = s * piece.lo + c, s * piece.hi + c
+        img_lo, img_hi = min(a_img, b_img), max(a_img, b_img)
+        if img_hi - img_lo < 1e-15:
+            continue
+        grid, sl, ic = composed(f, 1.0 / s, -c / s, img_lo, img_hi)
+        k = 1.0 / abs(s)
+        parts.append(PiecewiseAffineFunction(grid, sl * k, ic * k, validate=False).embed(lo, hi))
+    return pw_sum(parts).pruned()

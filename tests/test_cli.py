@@ -336,6 +336,14 @@ def test_negative_dyadic_levels_exit_2(tmp_path, capsys):
     assert not (tmp_path / "v.json").exists()
 
 
+def test_density_grid_that_is_not_a_power_of_two_exits_0(tmp_path):
+    """10,000 cells: the Ulam rows miss 1 by 1.0e-12, edge rounding that an
+    absolute row-sum tolerance refused."""
+    out = str(tmp_path / "d")
+    assert main(["density", "--map", "tent", "--a", "2", "--grid", "10000", "--out", out]) == 0
+    assert read_json(out + ".json")["period_detected"] == 1
+
+
 def test_density_json_format_inlines_table(tmp_path):
     out = str(tmp_path / "dj")
     assert main(["density", "--map", "tent", "--a", "2", "--grid", "32",

@@ -1,6 +1,7 @@
 """Ulam discretization, stationary densities, periodicity detection, and the
 tent density in closed form."""
 
+import json
 import math
 import tracemalloc
 
@@ -10,7 +11,9 @@ import pytest
 import references as ref
 from ergclt.cli import main
 from ergclt.densities import (
+    ROW_SUM_ULPS,
     ConvergenceError,
+    UlamOperator,
     detect_periodicity,
     invariant_density,
     tent_density,
@@ -240,6 +243,63 @@ def test_density_csv_blocks_match_one_text(tmp_path, grid):
     assert main(["density", "--map", "tent", "--a", "2", "--grid", str(grid), "--out", str(out)]) == 0
     density = invariant_density(ulam_matrix(tent_map(2.0), grid))
     assert (tmp_path / "density.csv").read_bytes() == ref.density_csv(density).encode()
+
+
+@pytest.mark.parametrize("grid", [4096, 9000])
+def test_density_json_blocks_match_one_text(tmp_path, grid):
+    """A JSON table written in cell blocks, the last one partial or not, has
+    the bytes of the payload dumped as one text with its cell list."""
+    out = tmp_path / "density"
+    assert main(["density", "--map", "tent", "--a", "2", "--grid", str(grid), "--format", "json",
+                 "--out", str(out)]) == 0
+    text = (tmp_path / "density.json").read_text()
+    payload = json.loads(text)
+    del payload["cells"]
+    expect = ref.density_json(payload, invariant_density(ulam_matrix(tent_map(2.0), grid)))
+    # A position, not pytest's diff of two texts of 0.8 MB, which takes minutes.
+    first = next((i for i, (x, y) in enumerate(zip(text, expect)) if x != y), min(len(text), len(expect)))
+    assert (len(text), first) == (len(expect), len(expect)), text[first - 40:first + 40]
+
+
+def test_density_json_command_memory_bounded(tmp_path):
+    """`density --format json` at 65,536 cells encodes its cell list in
+    blocks (32 MiB traced with the whole list and text at once)."""
+    argv = ["density", "--map", "tent", "--a", "1.5", "--grid", "65536", "--format", "json",
+            "--out", str(tmp_path / "d")]
+    assert _traced_peak_mib(lambda: main(argv)) <= 16.0
+
+
+@pytest.mark.parametrize("build", [lambda: (tent_map(2.0), 10000), lambda: (tent_map(1.3), 65535),
+                                   lambda: (three_branch_map(), 50000)],
+                         ids=["tent2-10000", "tent1.3-65535", "three-50000"])
+def test_row_sum_check_scales_with_the_grid(build):
+    """Row sums miss 1 by the edge rounding times the cell count: grids that
+    are not powers of two pass above 10,000 cells, where an absolute 1e-12
+    refused them, and stay within ROW_SUM_ULPS * n ulps."""
+    map_, n = build()
+    op = ulam_matrix(map_, n)
+    assert 1e-12 < op.row_sum_error() <= ROW_SUM_ULPS * n * 2.0**-52
+
+
+def test_row_sum_check_rejects_a_perturbed_entry():
+    op = ulam_matrix(tent_map(2.0), 65536)
+    rows = op.rows.copy()
+    rows.data[len(rows.data) // 2] += 1e-6
+    with pytest.raises(ValueError, match="not stochastic"):
+        UlamOperator(op.grid_n, op.domain, rows)
+
+
+@pytest.mark.parametrize("grid", [1000, 4096, 10000])
+def test_row_sum_check_only_admits_or_rejects(grid, monkeypatch):
+    """The check changes no entry and no density bit: with it off, an accepted
+    grid gives the same matrix and density bytes."""
+    op = ulam_matrix(tent_map(1.5), grid)
+    density = invariant_density(op)
+    monkeypatch.setattr(UlamOperator, "row_sum_error", lambda self: 0.0)
+    unchecked = ulam_matrix(tent_map(1.5), grid)
+    for name in ("data", "indices", "indptr"):
+        assert getattr(op.rows, name).tobytes() == getattr(unchecked.rows, name).tobytes()
+    assert invariant_density(unchecked).intercepts.tobytes() == density.intercepts.tobytes()
 
 
 def test_ulam_requires_two_cells():

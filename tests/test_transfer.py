@@ -1,6 +1,7 @@
 """Transfer-operator actions: exactness, duality, contraction, and the
 summability diagnostics of `clt.condition_report`."""
 
+import gc
 import itertools
 import json
 import math
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 import ergclt
 import references as ref
-from ergclt import piecewise
+from ergclt import piecewise, transfer
 from ergclt.clt import Observable, condition_report, tent_system, three_branch_system
 from ergclt.densities import tent_density
 from ergclt.maps import tent_map, three_branch_map
@@ -320,6 +321,101 @@ def assert_same_function(got, expect):
     for a, b in ((got.breakpoints, expect.breakpoints), (got.slopes, expect.slopes),
                  (got.intercepts, expect.intercepts)):
         assert a.tobytes() == b.tobytes()
+
+
+def _chain_start(map_, kind, seed=19):
+    """A step or affine function on the map's domain with 11 random cells."""
+    rng = np.random.default_rng(seed)
+    lo, hi = map_.domain.lo, map_.domain.hi
+    bp = np.concatenate(([lo], np.sort(rng.uniform(lo, hi, 10)), [hi]))
+    slopes = rng.normal(size=11) if kind == "affine" else np.zeros(11)
+    return PAF(bp, slopes, rng.normal(size=11))
+
+
+PLAN_MAPS = {"tent2": lambda: tent_map(2.0), "tent1.8": lambda: tent_map(1.8), "tent1.3": lambda: tent_map(1.3),
+             "tent1.1": lambda: tent_map(1.1), "tent1.08": lambda: tent_map(1.08), "three": three_branch_map}
+
+
+@pytest.mark.parametrize("kind", ["step", "affine"])
+@pytest.mark.parametrize("name", sorted(PLAN_MAPS))
+def test_planned_push_matches_the_unplanned_push(name, kind):
+    """300 chained pushes (windows m = 0..3 and the three-branch map): the
+    plans, built on misses and reused on hits once the grid repeats, give the
+    bits of the push that recomputes its geometry every time."""
+    map_ = PLAN_MAPS[name]()
+    f = g = _chain_start(map_, kind)
+    for _ in range(300):
+        f, g = frobenius_perron(map_, f), ref.frobenius_perron(map_, g)
+        assert_same_function(f, g)
+    assert len(map_.push_plans) <= transfer.PUSH_PLANS_KEPT
+
+
+def test_planned_push_alternating_between_two_maps():
+    """Two maps pushing the same grids keep separate plans."""
+    maps = [tent_map(1.3), tent_map(1.8)]
+    f = g = _chain_start(maps[0], "affine")
+    for i in range(300):
+        f, g = frobenius_perron(maps[i % 2], f), ref.frobenius_perron(maps[i % 2], g)
+        assert_same_function(f, g)
+
+
+def test_rebuilt_map_takes_no_stale_plan():
+    """A map freed and rebuilt at another parameter, perhaps at the same id,
+    starts with no plans, so the grid its predecessor pushed is planned anew."""
+    f = _chain_start(tent_map(1.3), "step")
+    for _ in range(50):
+        f = frobenius_perron(tent_map(1.3), f)
+    old = tent_map(1.3)
+    frobenius_perron(old, f)
+    del old
+    gc.collect()
+    rebuilt = tent_map(1.8)
+    assert rebuilt.push_plans == {}
+    assert_same_function(frobenius_perron(rebuilt, f), ref.frobenius_perron(tent_map(1.8), f))
+
+
+def _count_plans(monkeypatch):
+    built = []
+    plan = transfer._push_plan
+    monkeypatch.setattr(transfer, "_push_plan", lambda map_, bp: built.append(1) or plan(map_, bp))
+    return built
+
+
+def test_plan_is_reused_on_a_repeated_grid(monkeypatch):
+    """A second push of the same grid (other values) takes the stored plan,
+    whose output grid is read-only because both results may share it."""
+    built = _count_plans(monkeypatch)
+    map_ = tent_map(1.3)
+    f = _chain_start(map_, "affine")
+    frobenius_perron(map_, f)
+    other = PAF(f.breakpoints.copy(), -2.0 * f.slopes, f.intercepts + 1.0)
+    assert_same_function(frobenius_perron(map_, other), ref.frobenius_perron(map_, other))
+    assert len(built) == 1
+    assert not next(iter(map_.push_plans.values()))[0].flags.writeable
+
+
+@pytest.mark.parametrize("a", [2.0, 1.8, 1.3])
+def test_iterate_grids_repeat(a, monkeypatch):
+    """Past a transient (46, 57 and 122 pushes here) the iterates of a
+    weighted step observable keep one grid, so most of 300 pushes are hits.
+    Deeper windows take longer: at a = 1.1 and 1.08 no grid repeats within
+    300 pushes."""
+    built = _count_plans(monkeypatch)
+    sys_ = tent_system(a)
+    v = sys_.transfer.weighted(_chain_start(sys_.map, "step"))
+    for _ in range(300):
+        v = sys_.transfer.push(v)
+    assert len(built) < 200
+
+
+def test_plan_store_stays_bounded():
+    """1,000 distinct grids leave at most PUSH_PLANS_KEPT plans, the newest."""
+    map_ = tent_map(1.3)
+    for i in range(1000):
+        f = _chain_start(map_, "step", seed=i)
+        frobenius_perron(map_, f)
+        assert len(map_.push_plans) <= transfer.PUSH_PLANS_KEPT
+    assert f.breakpoints.tobytes() in map_.push_plans
 
 
 @given(maps_and_functions_through())
