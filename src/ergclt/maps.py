@@ -85,9 +85,13 @@ class PiecewiseLinearMap:
     def _validate(self):
         tol = 1e-12
         prev = self.domain.lo
-        for (piece, s, c) in self.branches:
+        for i, (piece, s, c) in enumerate(self.branches):
             if abs(piece.lo - prev) > tol:
                 raise ValueError("branch pieces must tile the domain without gaps")
+            # Close a gap or overlap within tol: each piece starts exactly where
+            # the one before it (or the domain) ends, so branch grids meet.
+            piece = Interval(prev, piece.hi)
+            self.branches[i] = (piece, s, c)
             prev = piece.hi
             if s == 0.0:
                 raise ValueError(f"flat branch on [{piece.lo}, {piece.hi}]: the transfer operator is undefined")
@@ -97,10 +101,6 @@ class PiecewiseLinearMap:
                     raise ValueError(f"branch image leaves the domain at x={x}: {y}")
         if abs(prev - self.domain.hi) > tol:
             raise ValueError("branch pieces must cover the domain")
-
-    def branch_tuples(self):
-        """Branches as (lo, hi, slope, intercept), for the piecewise algebra."""
-        return [(p.lo, p.hi, s, c) for (p, s, c) in self.branches]
 
     def branch_index(self, x: np.ndarray) -> np.ndarray:
         """Branch of each point: the inner edges at or below it, so points

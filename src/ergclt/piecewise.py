@@ -83,13 +83,6 @@ def _cells_covered(bp: np.ndarray, mids: np.ndarray):
     return slice(edges[0], edges[-1]), edges[1:] - edges[:-1]
 
 
-def _zero_pads(bp: np.ndarray, lo: float, hi: float) -> tuple[bool, bool]:
-    """Whether extending the grid bp to [lo, hi] adds a zero piece on the
-    left and on the right."""
-    scale = max(1.0, abs(lo), abs(hi))
-    return bool(lo < bp[0] - _BP_EPS * scale), bool(hi > bp[-1] + _BP_EPS * scale)
-
-
 def _cell_index(bp: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Index of the cell of grid bp containing each x, clamped to the end cells."""
     idx = bp.searchsorted(x, side="right") - 1
@@ -150,10 +143,6 @@ class PiecewiseAffineFunction:
     @classmethod
     def affine(cls, lo: float, hi: float, slope: float, intercept: float) -> "PiecewiseAffineFunction":
         return cls(np.array([lo, hi]), np.array([float(slope)]), np.array([float(intercept)]), validate=False)
-
-    @classmethod
-    def zero(cls, lo: float, hi: float) -> "PiecewiseAffineFunction":
-        return cls.constant(lo, hi, 0.0)
 
     @classmethod
     def step(cls, breakpoints, values) -> "PiecewiseAffineFunction":
@@ -249,42 +238,6 @@ class PiecewiseAffineFunction:
             self.breakpoints, np.zeros_like(v), np.where(ok, 1.0 / np.where(ok, v, 1.0), 0.0), validate=False
         )
 
-    # ------------------------------------------------------------------
-    # composition and restriction
-    # ------------------------------------------------------------------
-    def compose_affine(self, slope: float, intercept: float, lo: float, hi: float) -> "PiecewiseAffineFunction":
-        """Exact x -> f(slope*x + intercept) on [lo, hi]."""
-        if lo >= hi:
-            raise ValueError("empty target interval")
-        if slope == 0.0:
-            return PiecewiseAffineFunction.constant(lo, hi, self(intercept))
-        grid, idx, outside = _preimage_cells(self.breakpoints, slope, intercept, lo, hi)
-        sl = self.slopes[idx]
-        sl, ic = sl * slope, sl * intercept + self.intercepts[idx]
-        if outside is not None:
-            sl[outside] = 0.0
-            ic[outside] = 0.0
-        return PiecewiseAffineFunction(grid, sl, ic, validate=False)
-
-    def compose_branches(self, branches) -> "PiecewiseAffineFunction":
-        """Exact f(T(x)) for a map given as ordered (lo, hi, slope, intercept) branches."""
-        parts = []
-        grids = []
-        for (blo, bhi, s, c) in branches:
-            part = self.compose_affine(s, c, blo, bhi)
-            parts.append(part)
-            grids.append(part.breakpoints)
-        grid = _dedupe_breakpoints(np.concatenate(grids))
-        _check_budget(len(grid) - 1)
-        mids = 0.5 * (grid[:-1] + grid[1:])
-        sl = np.zeros(len(mids))
-        ic = np.zeros(len(mids))
-        for part in parts:
-            cells, counts = _cells_covered(part.breakpoints, mids)
-            sl[cells] = np.repeat(part.slopes, counts)
-            ic[cells] = np.repeat(part.intercepts, counts)
-        return PiecewiseAffineFunction(grid, sl, ic, validate=False)
-
     def windowed_union(self, intervals) -> "PiecewiseAffineFunction":
         """Multiply by the indicator of a union of intervals; the span is unchanged."""
         ends = np.clip(np.array([p for (a, b) in intervals for p in (a, b)], dtype=float), self.lo, self.hi)
@@ -295,16 +248,6 @@ class PiecewiseAffineFunction:
         for (a, b) in intervals:
             keep |= (mids > a) & (mids < b)
         return PiecewiseAffineFunction(grid, np.where(keep, sl, 0.0), np.where(keep, ic, 0.0), validate=False)
-
-    def embed(self, lo: float, hi: float) -> "PiecewiseAffineFunction":
-        """Extend the span to [lo, hi] with zero pieces."""
-        bp, sl, ic = self.breakpoints, self.slopes, self.intercepts
-        left, right = _zero_pads(bp, lo, hi)
-        if left:
-            bp, sl, ic = np.concatenate(([lo], bp)), np.concatenate(([0.0], sl)), np.concatenate(([0.0], ic))
-        if right:
-            bp, sl, ic = np.concatenate((bp, [hi])), np.concatenate((sl, [0.0])), np.concatenate((ic, [0.0]))
-        return PiecewiseAffineFunction(bp, sl, ic, validate=False)
 
     def pruned(self) -> "PiecewiseAffineFunction":
         """Merge adjacent cells whose affine parameters agree within PRUNE_ABS."""

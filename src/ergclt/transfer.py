@@ -9,12 +9,11 @@ telescope through the reference-measure operator (P_T^n f = P^n(f g)/g),
 which keeps the piece count growing linearly instead of geometrically and
 defers the division by g to the final quadrature.
 
-A push is a plan and an apply.  The plan is its geometry, which depends
-only on the map and the breakpoints of the function pushed: the output
-grid and, per branch, the output cells the branch covers with the input
-cell behind each.  The apply is the arithmetic on the slopes and
-intercepts.  Iterates soon repeat their grids, so each map keeps the plans
-of the last PUSH_PLANS_KEPT grids it pushed, keyed by the exact bytes of
+The push and its dual, the composition f -> f o T, are each a plan and
+an apply.  The plan (`_branch_plan`) is the geometry, read off the map and
+f's breakpoints only; the apply (`_apply`) is the arithmetic on f's slopes
+and intercepts.  Iterates soon repeat their grids, so each map keeps the
+push plans of the last PUSH_PLANS_KEPT grids, keyed by the exact bytes of
 the breakpoints; a push of a grid seen before does only the arithmetic.
 """
 
@@ -23,8 +22,8 @@ from __future__ import annotations
 import numpy as np
 
 from .maps import PiecewiseLinearMap
-from .piecewise import (PiecewiseAffineFunction, _check_budget, _dedupe_breakpoints, _preimage_cells,
-                        _sorted_union, _zero_pads)
+from .piecewise import (_BP_EPS, PiecewiseAffineFunction, _check_budget, _dedupe_breakpoints, _preimage_cells,
+                        _sorted_union)
 
 # An iterate whose L1 norm is at most this fraction of its start's is dead:
 # it and every later iterate count as zero.
@@ -40,67 +39,65 @@ def frobenius_perron(map_: PiecewiseLinearMap, f: PiecewiseAffineFunction) -> Pi
     Each affine branch contributes |slope|^-1 * f(inverse branch) on the
     branch image, so the result stays piecewise affine.
 
-    The push is a plan and an apply.  The plan (`_push_plan`) is the
-    geometry: it reads only the map and f's breakpoints.  It is looked up
-    in `map_.push_plans` by the exact bytes `f.breakpoints.tobytes()`, and
-    built and stored on a miss, the oldest of PUSH_PLANS_KEPT dropped.  The
-    store lives on the map object, never keyed by its id, so a map built
-    anew starts empty.  It takes no lock: threads that share a map must not
-    push through it at the same time.  The apply is the arithmetic on f's
-    values.
+    The plan is looked up in `map_.push_plans` by `f.breakpoints.tobytes()`
+    and stored on a miss, the oldest of PUSH_PLANS_KEPT dropped.  The store
+    lives on the map object, so a map built anew starts empty.  It takes no
+    lock: threads must not push through one map at the same time.
 
-    The result has the bits of the chain `compose_affine`, `* (1/|slope|)`,
-    `embed`, `pw_sum`, `pruned`.  The plan computes the grids and cell
-    indices with that chain's own expressions.  The apply evaluates
-    (s0*slope)*k and (s0*intercept + c0)*k, where (s0, c0) are the slope
-    and intercept of the input cell, slope and intercept those of the
-    inverse branch and k = 1/|branch slope|; it adds the branches in order
-    into zeros and prunes the sum.  The chain also adds zero pieces: the
-    pads of `embed` and the cells that map off f's span.  The apply leaves
-    them out, which moves no bit: each adds +0.0 to a sum that starts at
-    +0.0, and such a sum is never -0.0 (x + -x rounds to +0.0), so adding
-    +0.0 leaves it as it is.
+    The result has the bits of the operation chain in `tests/references.py`:
+    compose with each inverse branch, scale by 1/|slope|, extend to the
+    domain by zero pieces, sum, prune.  The apply adds the branches in order
+    into zeros and leaves out the chain's zero pieces (pads, cells off f's
+    span): each adds +0.0 to a sum that starts at +0.0, which is never -0.0,
+    so no bit moves.
     """
     plans = map_.push_plans
     key = f.breakpoints.tobytes()
     plan = plans.get(key)
     if plan is None:
-        plan = _push_plan(map_, f.breakpoints)
+        plan = _branch_plan(map_, f.breakpoints, push=True)
         if len(plans) >= PUSH_PLANS_KEPT:
             del plans[next(iter(plans))]
         plans[key] = plan
-    grid, terms = plan
-    sl = np.zeros(len(grid) - 1)
-    ic = np.zeros(len(grid) - 1)
-    for (start, stop, src, slope, intercept, k) in terms:
-        s0 = f.slopes.take(src)
-        sl[start:stop] += (s0 * slope) * k
-        ic[start:stop] += (s0 * intercept + f.intercepts.take(src)) * k
-    return PiecewiseAffineFunction(grid, sl, ic, validate=False).pruned()
+    return _apply(plan, f, add=True)
 
 
-def _push_plan(map_: PiecewiseLinearMap, bp: np.ndarray):
-    """The geometry of a push of any function on the grid bp: the output
-    grid, read-only because every push through the plan shares it, and one
-    term (start, stop, src, slope, intercept, k) per branch that reaches
-    f's span, in branch order.  Output cells [start, stop) take input cells
-    src through the inverse branch x -> slope*x + intercept and the factor
-    k = 1/|branch slope|.  They are the cells of the branch's composed grid
-    that lie inside f's span, one run because the branch is monotone, each
-    repeated over the output cells it covers."""
+def koopman(map_: PiecewiseLinearMap, f: PiecewiseAffineFunction) -> PiecewiseAffineFunction:
+    """Exact composition f o T.
+
+    The pieces tile the domain, so the apply places each branch instead of
+    adding it into zeros.  Placing keeps the sign of a zero: slope 0.0 times
+    a decreasing branch's slope is -0.0, which adding to +0.0 makes +0.0.
+    """
+    return _apply(_branch_plan(map_, f.breakpoints, push=False), f, add=False)
+
+
+def _branch_plan(map_: PiecewiseLinearMap, bp: np.ndarray, push: bool):
+    """The geometry of a push (or composition) of any function on grid bp:
+    the output grid, read-only because applies share it, and one term
+    (start, stop, src, slope, intercept, k) per branch that reaches f's
+    span.  Output cells [start, stop) take input cells src through
+    x -> slope*x + intercept and the factor k: the cells of the branch's
+    composed grid inside f's span, one run as the branch is monotone, each
+    repeated over the output cells it covers.  A push takes each inverse
+    branch over its image, k = 1/|branch slope|, padded to the domain by
+    zero pieces; a composition each branch over its piece, k = 1."""
     lo, hi = map_.domain.lo, map_.domain.hi
+    scale = max(1.0, abs(lo), abs(hi))
     parts, ends = [], []
     for (piece, s, c) in map_.branches:
-        a_img, b_img = s * piece.lo + c, s * piece.hi + c
-        img_lo, img_hi = min(a_img, b_img), max(a_img, b_img)
-        if img_hi - img_lo < 1e-15:
-            continue
-        slope, intercept = 1.0 / s, -c / s
-        grid, idx, outside = _preimage_cells(bp, slope, intercept, img_lo, img_hi)
-        # `embed` pads the composed grid out to the domain with zero pieces.
-        left, right = _zero_pads(grid, lo, hi)
+        span, slope, intercept, k = (piece.lo, piece.hi), s, c, 1.0
+        if push:
+            span = sorted((s * piece.lo + c, s * piece.hi + c))
+            if span[1] - span[0] < 1e-15:
+                continue
+            slope, intercept, k = 1.0 / s, -c / s, 1.0 / abs(s)
+        grid, idx, outside = _preimage_cells(bp, slope, intercept, *span)
+        # The push's zero pads out to the domain ends.
+        left = push and bool(lo < grid[0] - _BP_EPS * scale)
+        right = push and bool(hi > grid[-1] + _BP_EPS * scale)
         ends += [lo] * left + [hi] * right
-        parts.append((grid, idx, outside, right, slope, intercept, 1.0 / abs(s)))
+        parts.append((grid, idx, outside, right, slope, intercept, k))
     out = _dedupe_breakpoints(_sorted_union([np.array(ends), *(p[0] for p in parts)]))
     _check_budget(len(out) - 1)
     mids = 0.5 * (out[:-1] + out[1:])
@@ -112,7 +109,7 @@ def _push_plan(map_: PiecewiseLinearMap, bp: np.ndarray):
             if len(inside) == 0:
                 continue
             i0, i1 = int(inside[0]), int(inside[-1]) + 1
-        # `_cells_covered` of the padded grid, read off for the grid's own cells.
+        # `_cells_covered` of the grid with its pads, read off for the grid's own cells.
         edges = mids.searchsorted(grid)
         if not right:
             edges[-1] = mids.searchsorted(grid[-1], side="right")
@@ -123,9 +120,23 @@ def _push_plan(map_: PiecewiseLinearMap, bp: np.ndarray):
     return out, terms
 
 
-def koopman(map_: PiecewiseLinearMap, f: PiecewiseAffineFunction) -> PiecewiseAffineFunction:
-    """Exact composition f o T."""
-    return f.compose_branches(map_.branch_tuples()).pruned()
+def _apply(plan, f: PiecewiseAffineFunction, add: bool) -> PiecewiseAffineFunction:
+    """Per term, (s0*slope)*k and (s0*intercept + c0)*k for the input
+    cells' (s0, c0), added into zeros or placed; the result pruned."""
+    grid, terms = plan
+    sl = np.zeros(len(grid) - 1)
+    ic = np.zeros(len(grid) - 1)
+    for (start, stop, src, slope, intercept, k) in terms:
+        s0 = f.slopes.take(src)
+        part_sl = (s0 * slope) * k
+        part_ic = (s0 * intercept + f.intercepts.take(src)) * k
+        if add:
+            sl[start:stop] += part_sl
+            ic[start:stop] += part_ic
+        else:
+            sl[start:stop] = part_sl
+            ic[start:stop] = part_ic
+    return PiecewiseAffineFunction(grid, sl, ic, validate=False).pruned()
 
 
 class NormalizedTransfer:

@@ -17,7 +17,10 @@ package to their bytes:
   formatted row at a time;
 - the density JSON with its cell list built at once and dumped as one text;
 - the Perron-Frobenius push that recomputed its geometry (preimages,
-  union grid, cell cover) on every call.
+  union grid, cell cover) on every call;
+- the algebra methods the push and the composition were built from before
+  they shared one plan: `compose_affine`, `compose_branches` (f o T on the
+  concatenated branch grids) and `embed` (zero pieces out to a span).
 """
 
 import itertools
@@ -31,7 +34,8 @@ from ergclt.clt import (VarianceProfile, _clamp_sigma2, _fit_slope, _geometric_t
                         autocovariance_sequence, blocked_observable)
 from ergclt.densities import _CESARO_WINDOWS, _POWER_MAX_ITER, ConvergenceError, UlamOperator
 from ergclt.maps import Interval, tent_conjugacy, tent_fixed_point
-from ergclt.piecewise import MEASURE_TOL, PiecewiseAffineFunction, _dedupe_breakpoints, integrate_product, pw_sum
+from ergclt.piecewise import (_BP_EPS, MEASURE_TOL, PiecewiseAffineFunction, _cells_covered, _dedupe_breakpoints,
+                              integrate_product, pw_sum)
 from ergclt.simulate import _STREAM_BITS, _TWO64, _dyadic_engine_params, _rng
 
 
@@ -182,14 +186,14 @@ def tent_density_from_square(a, g_sq):
     for i in (0, 1):
         fwd, _ = tent_conjugacy(a, i)
         iv = Interval(-xs, xs) if i == 1 else Interval(xs, xs * (1.0 + 2.0 / a))
-        part = g_sq.compose_affine(fwd.slope, fwd.intercept, iv.lo, iv.hi)
+        part = compose_affine(g_sq, fwd.slope, fwd.intercept, iv.lo, iv.hi)
         factor = a / (2.0 * xs) if i == 0 else 1.0 / (2.0 * xs)
         parts.append(part * factor)
     central, right = parts[1], parts[0]
     bp = np.concatenate((central.breakpoints, right.breakpoints[1:]))
     sl = np.concatenate((central.slopes, right.slopes))
     ic = np.concatenate((central.intercepts, right.intercepts))
-    return PiecewiseAffineFunction(bp, sl, ic).embed(-1.0, 1.0).pruned()
+    return embed(PiecewiseAffineFunction(bp, sl, ic), -1.0, 1.0).pruned()
 
 
 class RowPushUlam(UlamOperator):
@@ -286,5 +290,36 @@ def frobenius_perron(map_, f):
             continue
         grid, sl, ic = composed(f, 1.0 / s, -c / s, img_lo, img_hi)
         k = 1.0 / abs(s)
-        parts.append(PiecewiseAffineFunction(grid, sl * k, ic * k, validate=False).embed(lo, hi))
+        parts.append(embed(PiecewiseAffineFunction(grid, sl * k, ic * k, validate=False), lo, hi))
     return pw_sum(parts).pruned()
+
+
+def compose_affine(f, slope, intercept, lo, hi):
+    """x -> f(slope*x + intercept) on [lo, hi], slope != 0."""
+    return PiecewiseAffineFunction(*composed(f, slope, intercept, lo, hi), validate=False)
+
+
+def compose_branches(f, map_):
+    """f o T: each branch composed over its piece, the parts' grids
+    concatenated, and each part placed on the merged cells it covers."""
+    parts = [compose_affine(f, s, c, piece.lo, piece.hi) for (piece, s, c) in map_.branches]
+    grid = _dedupe_breakpoints(np.concatenate([part.breakpoints for part in parts]))
+    mids = 0.5 * (grid[:-1] + grid[1:])
+    sl = np.zeros(len(mids))
+    ic = np.zeros(len(mids))
+    for part in parts:
+        cells, counts = _cells_covered(part.breakpoints, mids)
+        sl[cells] = np.repeat(part.slopes, counts)
+        ic[cells] = np.repeat(part.intercepts, counts)
+    return PiecewiseAffineFunction(grid, sl, ic, validate=False)
+
+
+def embed(f, lo, hi):
+    """f with its span extended to [lo, hi] by zero pieces."""
+    bp, sl, ic = f.breakpoints, f.slopes, f.intercepts
+    scale = max(1.0, abs(lo), abs(hi))
+    if lo < bp[0] - _BP_EPS * scale:
+        bp, sl, ic = np.concatenate(([lo], bp)), np.concatenate(([0.0], sl)), np.concatenate(([0.0], ic))
+    if hi > bp[-1] + _BP_EPS * scale:
+        bp, sl, ic = np.concatenate((bp, [hi])), np.concatenate((sl, [0.0])), np.concatenate((ic, [0.0]))
+    return PiecewiseAffineFunction(bp, sl, ic, validate=False)

@@ -79,7 +79,7 @@ def maps_and_functions_through(draw):
         map_ = tent_map(draw(st.floats(1.0 + 2e-6, 2.0)))
     else:
         map_ = three_branch_map() if kind == "three-branch" else SHORT_IMAGE_MAP
-    points = sorted({x for (lo, hi, s, c) in map_.branch_tuples() for x in (lo, hi, s * lo + c, s * hi + c)})
+    points = sorted({x for (p, s, c) in map_.branches for x in (p.lo, p.hi, s * p.lo + c, s * p.hi + c)})
     return map_, draw(functions_through(points, map_.domain.lo, map_.domain.hi))
 
 
@@ -87,7 +87,7 @@ def maps_and_functions_through(draw):
 def observables_on(draw, map_):
     """A random step or affine function on map_'s domain, whose grid may hold
     the branch edges and near twins."""
-    edges = sorted({x for (lo, hi, _, _) in map_.branch_tuples() for x in (lo, hi)})
+    edges = sorted({x for (p, _, _) in map_.branches for x in (p.lo, p.hi)})
     f = draw(functions_through(edges, map_.domain.lo, map_.domain.hi))
     return PAF.step(f.breakpoints, f.intercepts) if draw(st.booleans()) else f
 
@@ -106,7 +106,7 @@ def orbit_cases(draw):
         map_ = tent_map(2.0) if kind == "tent2" else three_branch_map()
     lo, hi = map_.domain.lo, map_.domain.hi
     f = draw(observables_on(map_))
-    edges = [x for (a, b, _, _) in map_.branch_tuples() for x in (a, b)]
+    edges = [x for (p, _, _) in map_.branches for x in (p.lo, p.hi)]
     cuts = [x for x in np.concatenate([edges, f.breakpoints]) if lo <= x <= hi]
     on_cuts = draw(st.lists(st.sampled_from(cuts), max_size=6))
     near = [float(np.clip(np.nextafter(x, d), lo, hi)) for x in on_cuts for d in (-np.inf, np.inf)]

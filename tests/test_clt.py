@@ -60,6 +60,13 @@ def tent_sigma_recursion_alt(a, base):
 # stationary means
 # ----------------------------------------------------------------------
 
+def test_tent_system_builds_one_map():
+    """The system's map is its transfer's, so both see one plan store."""
+    system = tent_system(1.3)
+    assert system.map is system.transfer.map
+    assert system.density is system.transfer.gstar
+
+
 def test_mean_at_two_is_exactly_zero():
     assert tent_mean(2.0) == 0.0
 
@@ -179,7 +186,7 @@ def test_resolvent_worked_example():
 
 def test_resolvent_zero_observable():
     sys2 = tent_system(2.0)
-    zero = Observable(f=PAF.zero(-1, 1), centered_wrt="any")
+    zero = Observable(f=PAF.constant(-1, 1, 0.0), centered_wrt="any")
     assert sigma2_resolvent(zero, sys2.transfer).sigma2 == 0.0
 
 
@@ -306,7 +313,7 @@ def test_profile_single_component_reduces_to_sigma2():
 
 def test_profile_zero_observable():
     tb = three_branch_system()
-    zero = Observable(f=PAF.zero(0, 1), centered_wrt="three_branch")
+    zero = Observable(f=PAF.constant(0, 1, 0.0), centered_wrt="three_branch")
     prof = variance_profile(zero, tb.transfer, tb.components, J=8)
     assert all(v == 0.0 for _, v in prof.components)
 
@@ -318,7 +325,7 @@ def test_profile_matches_replaced_code():
     the observable (periods 2 and 4) and window it to the cycle's first
     interval."""
     tb, sys15 = three_branch_system(), tent_system(1.5)
-    zero = Observable(f=PAF.zero(0, 1), centered_wrt="three_branch")
+    zero = Observable(f=PAF.constant(0, 1, 0.0), centered_wrt="three_branch")
     cases = [(tb, tb.observable, tb.components, J) for J in (2, 8, 32)]
     cases += [(sys15, sys15.observable, [tent_support_cycle(1.5)], 64), (tb, zero, tb.components, 8)]
     cases += [(s, s.observable, s.components, 32) for s in (tent_system(1.3), tent_system(1.1))]
@@ -368,7 +375,7 @@ def test_profile_weights_for_mixture():
 
 def test_autocov_zero_observable():
     sys2 = tent_system(2.0)
-    zero = Observable(f=PAF.zero(-1, 1), centered_wrt="any")
+    zero = Observable(f=PAF.constant(-1, 1, 0.0), centered_wrt="any")
     est = sigma2_autocovariance(zero, sys2.map, sys2.transfer, tent_support_cycle(2.0))
     assert est.sigma2 == 0.0
 

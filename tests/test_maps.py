@@ -215,7 +215,7 @@ def test_property_branch_index_matches_searchsorted(kind, a, data):
     the binary search over all edges picked, on edges, one ulp from them and
     past either end of the domain."""
     map_ = {"tent": tent_map(a), "three-branch": three_branch_map(), "short-image": SHORT_IMAGE_MAP}[kind]
-    edges = [x for (lo, hi, _, _) in map_.branch_tuples() for x in (lo, hi)]
+    edges = [x for (p, _, _) in map_.branches for x in (p.lo, p.hi)]
     on = data.draw(st.lists(st.sampled_from(edges), max_size=6))
     x = np.array(on + [float(np.nextafter(e, d)) for e in on for d in (-np.inf, np.inf)]
                  + data.draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=8)))

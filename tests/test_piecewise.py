@@ -9,8 +9,11 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import references as ref
+from ergclt.maps import Interval, PiecewiseLinearMap
 from ergclt.piecewise import PiecewiseAffineFunction as PAF
 from ergclt.piecewise import _dedupe_breakpoints, _dot, _sorted_union, integrate_product, merge_grids, pw_sum
+from ergclt.transfer import koopman
 
 from strategies import maps_and_functions_through, partial_functions, spans
 
@@ -88,22 +91,22 @@ def test_sum_and_scalar_ops():
 
 
 def test_compose_affine_exact():
+    """The composition with a one-branch map on [-1, 1], increasing or
+    decreasing, with f on the whole domain or on part of it (0 off it)."""
     rng = np.random.default_rng(4)
-    f = random_paf(rng)
-    for s, c in [(0.5, 0.2), (-1.5, 0.1), (2.0, -1.0)]:
-        lo, hi = (-1.0 - c) / s, (1.0 - c) / s
-        lo, hi = min(lo, hi), max(lo, hi)
-        g = f.compose_affine(s, c, lo, hi)
-        x = rng.uniform(lo, hi, 200)
-        np.testing.assert_allclose(g(x), f(np.clip(s * x + c, -1, 1)), atol=1e-12)
+    for f in (random_paf(rng), random_paf(rng, -0.4, 0.6)):
+        for s, c in [(0.5, 0.2), (-0.9, 0.1), (0.95, -0.05)]:
+            g = koopman(PiecewiseLinearMap(Interval(-1.0, 1.0), [((-1.0, 1.0), s, c)]), f)
+            x = rng.uniform(-1.0, 1.0, 200)
+            np.testing.assert_allclose(g(x), f(s * x + c), atol=1e-12)
 
 
 def test_compose_branches_matches_direct():
-    # tent-like two-branch map on [0, 1]
-    branches = [(0.0, 0.5, 2.0, 0.0), (0.5, 1.0, -2.0, 2.0)]
+    """The composition with a tent-like two-branch map on [0, 1]."""
+    map_ = PiecewiseLinearMap(Interval(0.0, 1.0), [((0.0, 0.5), 2.0, 0.0), ((0.5, 1.0), -2.0, 2.0)])
     rng = np.random.default_rng(5)
     f = random_paf(rng, 0.0, 1.0)
-    g = f.compose_branches(branches)
+    g = koopman(map_, f)
     x = rng.uniform(0, 1, 300)
     tx = np.where(x < 0.5, 2 * x, 2 - 2 * x)
     np.testing.assert_allclose(g(x), f(tx), atol=1e-12)
@@ -162,7 +165,7 @@ def test_pruned_merges_equal_cells():
 
 def test_embed_and_merge_grids():
     f = PAF.constant(0.0, 1.0, 1.0)
-    e = f.embed(-1.0, 2.0)
+    e = PAF.step([-1.0, 0.0, 1.0, 2.0], [0.0, 1.0, 0.0])
     assert e(-0.5) == 0.0 and e(0.5) == 1.0 and e(1.5) == 0.0
     grid = merge_grids([f, e])
     assert grid[0] == -1.0 and grid[-1] == 2.0
@@ -202,7 +205,7 @@ def reference_pw_sum(fns):
     to the union span."""
     lo = min(f.lo for f in fns)
     hi = max(f.hi for f in fns)
-    grid = merge_grids([f.embed(lo, hi) for f in fns])
+    grid = merge_grids([ref.embed(f, lo, hi) for f in fns])
     mids = 0.5 * (grid[:-1] + grid[1:])
     sl = np.zeros(len(mids))
     ic = np.zeros(len(mids))
@@ -243,10 +246,10 @@ def reference_integrate_product(fns, lo=None, hi=None):
     return _dot(w, cell)
 
 
-def reference_compose_branches(f, branches):
+def reference_compose_branches(f, map_):
     """f o T with each branch's part written onto the merged cells whose
     midpoints lie strictly inside its span, found by midpoint search."""
-    parts = [f.compose_affine(s, c, blo, bhi) for (blo, bhi, s, c) in branches]
+    parts = [ref.compose_affine(f, s, c, piece.lo, piece.hi) for (piece, s, c) in map_.branches]
     grid = _dedupe_breakpoints(np.concatenate([part.breakpoints for part in parts]))
     mids = 0.5 * (grid[:-1] + grid[1:])
     sl = np.zeros(len(mids))
@@ -329,8 +332,7 @@ def test_property_integrate_product_matches_reference(fns, clip, window):
 @given(maps_and_functions_through())
 def test_property_compose_branches_matches_reference(case):
     map_, f = case
-    branches = map_.branch_tuples()
-    assert_same_function(f.compose_branches(branches), reference_compose_branches(f, branches))
+    assert_same_function(koopman(map_, f), reference_compose_branches(f, map_).pruned())
 
 
 @given(st.lists(st.lists(st.sampled_from([-1.0, -0.5, -0.0, 0.0, 1e-15, 0.25, 0.5, 1.0]), min_size=1), min_size=1))

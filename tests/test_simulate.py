@@ -210,7 +210,7 @@ def test_property_maximal_reports_match_reference(name, data):
     s = _MAXIMAL_SYSTEMS[name]()
     map_ = s.map
     lo, hi = map_.domain.lo, map_.domain.hi
-    f = data.draw(observables_on(map_)).embed(lo, hi)
+    f = ref.embed(data.draw(observables_on(map_)), lo, hi)
     h = Observable(f=f - PAF.constant(lo, hi, integrate_product([f, s.density])), centered_wrt=name)
     ns = data.draw(st.lists(st.integers(1, 20), min_size=1, max_size=3))
     seed = data.draw(st.integers(0, 2**32))
@@ -362,7 +362,7 @@ def test_limit_law_three_branch_moderate_scale():
 
 def test_limit_law_zero_observable_flagged():
     tb = three_branch_system()
-    zero = Observable(f=PAF.zero(0, 1), centered_wrt="three_branch")
+    zero = Observable(f=PAF.constant(0, 1, 0.0), centered_wrt="three_branch")
     inits = sample_from_density(tb.density, 50, 19)
     sample = partial_sum_paths(tb.map, zero, 64, [1.0], inits, 19)
     prof = variance_profile(zero, tb.transfer, tb.components, J=4)

@@ -1,0 +1,27 @@
+"""Static checks of the package source."""
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "ergclt"
+
+
+def test_every_definition_is_read():
+    """Every function, method and class in `src/ergclt` is named somewhere
+    in `src/ergclt` as a name, an attribute or an import, so nothing there
+    is kept only for tests.  Dunders are exempt; what `__init__` imports
+    and so exports counts as read."""
+    defined, read = {}, set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.setdefault(node.name, f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.update((node.name, node.asname))
+    unread = {name: where for name, where in defined.items()
+              if name not in read and not (name.startswith("__") and name.endswith("__"))}
+    assert unread == {}

@@ -20,7 +20,7 @@ import references as ref
 from ergclt import piecewise, transfer
 from ergclt.clt import Observable, condition_report, tent_system, three_branch_system
 from ergclt.densities import tent_density
-from ergclt.maps import tent_map, three_branch_map
+from ergclt.maps import Interval, PiecewiseLinearMap, tent_map, three_branch_map
 from ergclt.piecewise import PiecewiseAffineFunction as PAF
 from ergclt.piecewise import PieceBudgetExceeded, integrate_product, pw_sum
 from ergclt.transfer import DEAD_ITERATE_REL, NormalizedTransfer, frobenius_perron, koopman
@@ -70,7 +70,7 @@ def test_function_shorter_than_the_domain_reads_zero_outside_its_span():
     as 0 off its span, as they read its extension to [-1, 1] by zero pieces."""
     t = tent_map(1.5)
     f = PAF([0.2, 0.5, 0.9], [1.0, 2.0], [3.0, -4.0])
-    whole = f.embed(-1.0, 1.0)
+    whole = PAF([-1.0, 0.2, 0.5, 0.9, 1.0], [0.0, 1.0, 2.0, 0.0], [0.0, 3.0, -4.0, 0.0])
     xs = np.random.default_rng(15).uniform(-1.0, 1.0, 500)
     assert f.integral() == pytest.approx(-0.035, abs=1e-15)
     assert frobenius_perron(t, f).integral() == pytest.approx(-0.035, abs=1e-14)
@@ -308,8 +308,8 @@ def reference_frobenius_perron(map_, f):
         img_lo, img_hi = min(a_img, b_img), max(a_img, b_img)
         if img_hi - img_lo < 1e-15:
             continue
-        part = f.compose_affine(1.0 / s, -c / s, img_lo, img_hi) * (1.0 / abs(s))
-        parts.append(part.embed(lo, hi))
+        part = ref.compose_affine(f, 1.0 / s, -c / s, img_lo, img_hi) * (1.0 / abs(s))
+        parts.append(ref.embed(part, lo, hi))
     return pw_sum(parts).pruned()
 
 
@@ -350,6 +350,37 @@ def test_planned_push_matches_the_unplanned_push(name, kind):
     assert len(map_.push_plans) <= transfer.PUSH_PLANS_KEPT
 
 
+@pytest.mark.parametrize("kind", ["step", "affine"])
+@pytest.mark.parametrize("name", sorted(PLAN_MAPS))
+def test_koopman_matches_the_concatenated_composition(name, kind):
+    """Up to 300 chained compositions, stopping once pieces pass 20,000:
+    the composition on its branch plan gives the bits of each branch
+    composed alone, the grids concatenated and the parts placed."""
+    map_ = PLAN_MAPS[name]()
+    f = _chain_start(map_, kind)
+    for _ in range(300):
+        g = koopman(map_, f)
+        assert_same_function(g, ref.compose_branches(f, map_).pruned())
+        f = g
+        if f.num_pieces > 20_000:
+            break
+
+
+def test_near_tiling_pieces_compose_as_concatenated():
+    """Pieces that miss by 5e-13 or overlap by 1e-15 start exactly where the
+    piece before them ends, so the sorted union of the branch grids is their
+    concatenation: the composition has the reference's bits and f(T(x))."""
+    map_ = PiecewiseLinearMap(Interval(0.0, 1.0), [((0.0, 0.3), 3.0, 0.0), ((0.3 + 5e-13, 0.6 + 1e-15), -3.0, 1.8),
+                                                   ((0.6, 1.0), 2.5, -1.5)])
+    for i in (1, 2):
+        assert map_.branches[i][0].lo == map_.branches[i - 1][0].hi
+    f = _chain_start(map_, "affine")
+    g = koopman(map_, f)
+    assert_same_function(g, ref.compose_branches(f, map_).pruned())
+    x = np.random.default_rng(21).uniform(0.0, 1.0, 1000)
+    assert np.abs(g(x) - f(map_(x))).max() <= 1e-14
+
+
 def test_planned_push_alternating_between_two_maps():
     """Two maps pushing the same grids keep separate plans."""
     maps = [tent_map(1.3), tent_map(1.8)]
@@ -376,8 +407,8 @@ def test_rebuilt_map_takes_no_stale_plan():
 
 def _count_plans(monkeypatch):
     built = []
-    plan = transfer._push_plan
-    monkeypatch.setattr(transfer, "_push_plan", lambda map_, bp: built.append(1) or plan(map_, bp))
+    plan = transfer._branch_plan
+    monkeypatch.setattr(transfer, "_branch_plan", lambda map_, bp, push: built.append(1) or plan(map_, bp, push))
     return built
 
 
