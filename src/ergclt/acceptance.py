@@ -19,6 +19,7 @@ from scipy.special import ndtr
 
 from .clt import (
     Observable,
+    blocked_observable,
     condition_report,
     sigma2_autocovariance,
     sigma2_resolvent,
@@ -196,8 +197,7 @@ def _chind_sides(a: float, n: int) -> tuple[float, float]:
     asq = squared_param(a)
     sys_sq = tent_system(asq)
     xs = tent_fixed_point(a)
-    h2 = sys_a.observable.f + koopman(sys_a.map, sys_a.observable.f)
-    h2 = h2 * (1.0 / math.sqrt(2.0))
+    h2 = blocked_observable(sys_a.observable, sys_a.map, 2).f
     lhs_shift = h2
     for _ in range(2 * n):
         lhs_shift = koopman(sys_a.map, lhs_shift)

@@ -103,9 +103,6 @@ class RunConfig:
         if self.format not in ("csv", "json"):
             raise ValueError("format must be csv or json")
 
-    def resolved(self) -> dict:
-        return asdict(self)
-
 
 def _atomic_write(path: str, data: str | Iterable[str]):
     """Write the text `data`, or its consecutive pieces, to `path` atomically."""
@@ -125,7 +122,7 @@ def _atomic_write(path: str, data: str | Iterable[str]):
 
 
 def _json_payload(config: RunConfig, body: dict) -> str:
-    payload = {"schema_version": SCHEMA_VERSION, "config": config.resolved()}
+    payload = {"schema_version": SCHEMA_VERSION, "config": asdict(config)}
     payload.update(body)
     return json.dumps(payload, sort_keys=True, default=float) + "\n"
 

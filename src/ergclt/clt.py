@@ -8,8 +8,9 @@ closed-form recursion that rescales the variance of the squared-parameter
 map.  Non-ergodic maps get a piecewise-constant variance profile over the
 invariant components instead of a single constant, either from the
 per-component autocovariance series or from the dyadic partial-sum series.
-The condition report gives the norms of the partial sums of iterates behind
-the summability condition Σ n^(-3/2) ‖Σ_(k<n) P_T^k h‖₂ < ∞.
+Partial sums of iterates come from one pass (`partial_sum_norms`) and one
+dyadic series (`dyadic_sum`), behind the summability condition
+Σ n^(-3/2) ‖Σ_(k<n) P_T^k h‖₂ < ∞ and the maximal bound's Δ_q.
 """
 
 from __future__ import annotations
@@ -340,36 +341,39 @@ class ConditionReport:
     dyadic_partial: list[float]
 
 
+def partial_sum_norms(h: Observable, transfer_action: NormalizedTransfer, ends, lag0: bool):
+    """Yield the L2(nu) norm of Σ P_T^k h over lags k from 0 (lag0) or 1 up to
+    each of the increasing `ends`, in one pass: between two ends the new
+    iterates join the sum in one `pw_sum`, and after a dead iterate the sum
+    and its norm are fixed, with nothing more pushed, merged or measured."""
+    v = transfer_action.weighted(h.f)
+    lags = transfer_action.iterates(v)
+    parts = [v] if lag0 else []   # the sum so far, then the new iterates
+    norm = v.norm_l2(transfer_action.ginv) if lag0 else 0.0
+    for start, end in zip([0, *ends], ends):
+        had = len(parts)
+        parts += (w for w, _ in itertools.islice(lags, end - start))
+        if len(parts) > had:
+            parts = [pw_sum(parts).pruned()]
+            norm = parts[0].norm_l2(transfer_action.ginv)
+        yield norm
+
+
+def dyadic_sum(xs) -> list[float]:
+    """Partial sums of the dyadic series Σ_j 2^(-j/2) x_j, one per term, added up from +0.0."""
+    return list(itertools.accumulate((2.0 ** (-j / 2.0) * x for j, x in enumerate(xs)), initial=0.0))[1:]
+
+
 def condition_report(h: Observable, transfer_action: NormalizedTransfer, K: int = 64) -> ConditionReport:
     """Norms V_n of partial sums of transfer iterates of a centered h, and the
-    two series they feed.
-
-    Norms are exact piecewise quadratures; once an iterate dies the
-    remaining V_n are constant and filled without iterating.
-    """
+    two series they feed."""
     if K < 8:
         raise ValueError("need K >= 8")
     h.check_centered(transfer_action.gstar)
-    ginv = transfer_action.ginv
-
-    running = transfer_action.weighted(h.f)   # sum of the iterates so far
-    V = []
-    for v, _ in itertools.islice(transfer_action.iterates(running), K):
-        V.append(running.norm_l2(ginv))
-        running = pw_sum([running, v]).pruned()
-    if len(V) < K:
-        # a dead iterate fixes the partial sum
-        V.extend([running.norm_l2(ginv)] * (K - len(V)))
-
+    V = list(partial_sum_norms(h, transfer_action, range(K), lag0=True))
     ns = np.arange(1, K + 1, dtype=float)
     series_partial = np.cumsum(np.array(V) * ns ** (-1.5)).tolist()
-    dyadic = []
-    total = 0.0
-    j = 0
-    while 2**j <= K:
-        total += 2.0 ** (-j / 2.0) * V[2**j - 1]
-        dyadic.append(total)
-        j += 1
+    dyadic = dyadic_sum(V[2**j - 1] for j in range(K.bit_length()))
     return ConditionReport(K=K, V=V, series_partial=series_partial, dyadic_partial=dyadic)
 
 

@@ -38,9 +38,9 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import ndtr
 
-from .clt import Observable, VarianceProfile
+from .clt import Observable, VarianceProfile, dyadic_sum, partial_sum_norms
 from .maps import PiecewiseLinearMap, cut_index
-from .piecewise import PiecewiseAffineFunction, pw_sum
+from .piecewise import PiecewiseAffineFunction
 from .transfer import NormalizedTransfer, koopman
 
 _TWO64 = 1 << 64
@@ -406,24 +406,8 @@ class MaximalInequalityReport:
 
 
 def dyadic_block_norms(f: Observable, transfer_action: NormalizedTransfer, q: int) -> list[float]:
-    """L2(nu) norms of sum_{k=1..2^j} P_T^k f for j = 0..q-1, exact quadrature.
-
-    Iterates are collected between dyadic marks and merged in one pass there,
-    which is much cheaper than a running per-step sum."""
-    lags = transfer_action.iterates(transfer_action.weighted(f.f))
-    running = None
-    norms = []
-    for j in range(q):
-        # lags 2^(j-1)+1 .. 2^j (lag 1 alone for j = 0)
-        pending = [v for v, _ in itertools.islice(lags, 2 ** (j - 1) if j else 1)]
-        if pending:
-            running = pw_sum(([running] if running is not None else []) + pending).pruned()
-        del pending  # merged: free it before the next block is pushed
-        if running is None:
-            norms.append(0.0)
-        else:
-            norms.append(running.norm_l2(transfer_action.ginv))
-    return norms
+    """L2(nu) norms of sum_{k=1..2^j} P_T^k f for j = 0..q-1: `clt.partial_sum_norms` at ends 2^j."""
+    return list(partial_sum_norms(f, transfer_action, [2**j for j in range(q)], lag0=False))
 
 
 def maximal_inequality_sweep(map_: PiecewiseLinearMap, f: Observable,
@@ -435,17 +419,20 @@ def maximal_inequality_sweep(map_: PiecewiseLinearMap, f: Observable,
 
     The left side is estimated from `trials` stationary orbits; the right
     side is computed exactly in the piecewise algebra.  All horizons share
-    one transfer-iterate pass (the block norms for every q are prefixes of
-    one iterate sequence) and one orbit batch of length max(ns).  An
-    absolute slack of 1e-10 absorbs floating-point dust when f vanishes a.e.
-    on the invariant support and both sides are rounding noise.
+    one pass of block norms, one running dyadic sum (Delta_q for each q is a
+    prefix of it) and one orbit batch of length max(ns).  An absolute slack
+    of 1e-10 absorbs floating-point dust when f vanishes a.e. on the
+    invariant support and both sides are rounding noise.  ns must hold at
+    least one horizon and trials be at least 2, for a standard error.
     """
     ns = sorted(int(n) for n in ns)
-    if ns[0] < 1:
-        raise ValueError("need n >= 1")
+    if not ns or ns[0] < 1:
+        raise ValueError("need at least one horizon, each n >= 1")
+    if trials < 2:
+        raise ValueError("need trials >= 2 for a standard error")
     f.check_centered(nu)
     q_max = ns[-1].bit_length()
-    norms = dyadic_block_norms(f, transfer_action, q_max)
+    deltas = dyadic_sum(dyadic_block_norms(f, transfer_action, q_max))
     ptf = transfer_action(f.f)
     mart = (f.f - koopman(map_, ptf)).norm_l2(transfer_action.gstar)
 
@@ -454,14 +441,12 @@ def maximal_inequality_sweep(map_: PiecewiseLinearMap, f: Observable,
     s = np.zeros(trials)
     m = np.zeros(trials)
     reports = []
-    done = 0
-    for n in ns:
+    for done, n in zip([0, *ns], ns):
         for value in itertools.islice(orbit, n - done):
             s += value
             np.maximum(m, np.abs(s), out=m)
-        done = n
         q = n.bit_length()  # floor(log2(n)) + 1, so 2^(q-1) <= n < 2^q
-        delta_q = sum(2.0 ** (-j / 2.0) * norms[j] for j in range(q))
+        delta_q = deltas[q - 1]
         rhs = math.sqrt(n) * (3.0 * mart + 4.0 * math.sqrt(2.0) * delta_q)
         msq = m * m
         mean_msq = float(msq.mean())

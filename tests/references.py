@@ -20,7 +20,9 @@ package to their bytes:
   union grid, cell cover) on every call;
 - the algebra methods the push and the composition were built from before
   they shared one plan: `compose_affine`, `compose_branches` (f o T on the
-  concatenated branch grids) and `embed` (zero pieces out to a span).
+  concatenated branch grids) and `embed` (zero pieces out to a span);
+- `dyadic_block_norms` with its own pass of the iterates, before it and
+  `condition_report` shared one.
 """
 
 import itertools
@@ -323,3 +325,24 @@ def embed(f, lo, hi):
     if hi > bp[-1] + _BP_EPS * scale:
         bp, sl, ic = np.concatenate((bp, [hi])), np.concatenate((sl, [0.0])), np.concatenate((ic, [0.0]))
     return PiecewiseAffineFunction(bp, sl, ic, validate=False)
+
+
+def dyadic_block_norms(f, transfer_action, q):
+    """L2(nu) norms of sum_{k=1..2^j} P_T^k f for j = 0..q-1, exact quadrature.
+
+    Iterates are collected between dyadic marks and merged in one pass there,
+    which is much cheaper than a running per-step sum."""
+    lags = transfer_action.iterates(transfer_action.weighted(f.f))
+    running = None
+    norms = []
+    for j in range(q):
+        # lags 2^(j-1)+1 .. 2^j (lag 1 alone for j = 0)
+        pending = [v for v, _ in itertools.islice(lags, 2 ** (j - 1) if j else 1)]
+        if pending:
+            running = pw_sum(([running] if running is not None else []) + pending).pruned()
+        del pending  # merged: free it before the next block is pushed
+        if running is None:
+            norms.append(0.0)
+        else:
+            norms.append(running.norm_l2(transfer_action.ginv))
+    return norms

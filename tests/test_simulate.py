@@ -441,6 +441,16 @@ def test_maximal_inequality_random_observables():
         assert all(r.holds for r in reports)
 
 
+@pytest.mark.parametrize("ns, trials", [([], 100), ([8], 1)])
+def test_maximal_inequality_rejects_no_horizon_and_too_few_trials(ns, trials):
+    """No horizon gives no report, and one trial no standard error: a single
+    trial used to report a bound that holds (lhs 2.0 against rhs 13.4 at
+    n = 8) with margin inf and holds=False."""
+    tb = three_branch_system()
+    with pytest.raises(ValueError):
+        maximal_inequality_sweep(tb.map, tb.observable, tb.transfer, tb.density, ns, trials, 47)
+
+
 def test_maximal_inequality_q_definition():
     tb = three_branch_system()
     for n, q in ((8, 4), (64, 7), (512, 10), (7, 3)):

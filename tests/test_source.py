@@ -25,3 +25,23 @@ def test_every_definition_is_read():
     unread = {name: where for name, where in defined.items()
               if name not in read and not (name.startswith("__") and name.endswith("__"))}
     assert unread == {}
+
+
+def test_every_import_is_read():
+    """Each module but `__init__` (whose imports are its exports) reads every
+    name it imports, so a leftover import after a move is caught."""
+    unread = {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported, read = {}, set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__":
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = f"{path.name}:{node.lineno}"
+            elif isinstance(node, ast.Name):
+                read.add(node.id)
+        unread.update({name: where for name, where in imported.items() if name not in read})
+    assert unread == {}

@@ -23,6 +23,7 @@ from ergclt.densities import tent_density
 from ergclt.maps import Interval, PiecewiseLinearMap, tent_map, three_branch_map
 from ergclt.piecewise import PiecewiseAffineFunction as PAF
 from ergclt.piecewise import PieceBudgetExceeded, integrate_product, pw_sum
+from ergclt.simulate import dyadic_block_norms
 from ergclt.transfer import DEAD_ITERATE_REL, NormalizedTransfer, frobenius_perron, koopman
 
 from strategies import affine_functions, maps_and_functions_through
@@ -521,6 +522,42 @@ def test_property_iterates_match_plain_loop_three_branch(values, centered, step)
     live = assert_iterates_match_plain_loop(nt, nt.weighted(f), step)
     if centered:
         assert live < 8
+
+
+def assert_partial_sums_match_replaced_code(nt, h, q):
+    """`dyadic_block_norms` at q and `condition_report` at K = 8, 24 and 64
+    keep the bits of their own passes in `tests/references.py`."""
+    hexes = lambda xs: [float(x).hex() for x in xs]
+    assert hexes(dyadic_block_norms(h, nt, q)) == hexes(ref.dyadic_block_norms(h, nt, q))
+    for K in (8, 24, 64):
+        rep = condition_report(h, nt, K=K)
+        old = ref.condition_report(h.f, nt, K=K)
+        assert [hexes(x) for x in (rep.V, rep.series_partial, rep.dyadic_partial)] == [hexes(x) for x in old[:3]]
+
+
+@given(TENT_A, st.integers(0, 2**16), st.integers(0, 10))
+def test_property_partial_sums_match_replaced_code_tent(a, seed, q):
+    """Random centered steps on tent maps, whose iterates decay but live."""
+    g = tent_density(a)
+    f = random_step(np.random.default_rng(seed))
+    h = Observable(f - PAF.constant(-1.0, 1.0, integrate_product([f, g])), f"tent(a={a})")
+    assert_partial_sums_match_replaced_code(NormalizedTransfer(tent_map(a), g), h, q)
+
+
+@given(DYADIC_VALUES, st.booleans(), st.integers(0, 10))
+def test_property_partial_sums_match_replaced_code_three_branch(values, per_half, q):
+    """Dyadic steps centered on the whole square or on each invariant half.
+    Centered on each half, their iterates die within k pushes, inside a
+    dyadic block or at its end, and the sums stay fixed from there."""
+    vals = np.array(values)
+    half = len(vals) // 2
+    if per_half:
+        vals[:half] -= vals[:half].mean()
+        vals[half:] -= vals[half:].mean()
+    else:
+        vals -= vals.mean()
+    h = Observable(PAF.step(np.linspace(0.0, 1.0, len(vals) + 1), vals), "three_branch")
+    assert_partial_sums_match_replaced_code(three_branch_system().transfer, h, q)
 
 
 # ----------------------------------------------------------------------
