@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass, fields
 
@@ -105,11 +104,11 @@ class RunConfig:
 
 
 def _atomic_write(path: str, data: str | Iterable[str]):
-    """Write the text `data`, or its consecutive pieces, to `path` atomically."""
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".ergclt_tmp")
+    """Write the text `data`, or its consecutive pieces, to `path` atomically, through a
+    temp file made by an exclusive plain create: the output gets a new file's mode."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), ".ergclt_tmp" + os.urandom(8).hex())
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+        with open(tmp, "x", encoding="utf-8", newline="\n") as fh:
             if isinstance(data, str):
                 fh.write(data)
             else:

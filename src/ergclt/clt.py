@@ -8,9 +8,10 @@ closed-form recursion that rescales the variance of the squared-parameter
 map.  Non-ergodic maps get a piecewise-constant variance profile over the
 invariant components instead of a single constant, either from the
 per-component autocovariance series or from the dyadic partial-sum series.
-Partial sums of iterates come from one pass (`partial_sum_norms`) and one
-dyadic series (`dyadic_sum`), behind the summability condition
-Σ n^(-3/2) ‖Σ_(k<n) P_T^k h‖₂ < ∞ and the maximal bound's Δ_q.
+Iterates are read in two loops: `autocovariance_sequence` yields the lag
+integrals of every series above (over the span or one component), and
+`partial_sum_norms` the partial-sum norms that, with `dyadic_sum`, give the
+summability condition Σ n^(-3/2) ‖Σ_(k<n) P_T^k h‖₂ < ∞ and the maximal Δ_q.
 """
 
 from __future__ import annotations
@@ -79,7 +80,6 @@ class VarianceProfile:
 
     components: list[tuple[tuple[tuple[float, float], ...], float]]
     method: str = ""
-    level_partials: list[list[float]] | None = None
 
     def __post_init__(self):
         for _, value in self.components:
@@ -149,18 +149,23 @@ def blocked_observable(h: Observable, map_: PiecewiseLinearMap, r: int) -> Obser
 # ----------------------------------------------------------------------
 
 def autocovariance_sequence(h: Observable, transfer_action: NormalizedTransfer, max_lag: int,
-                            *, step: int = 1, window=None):
-    """Lags 0..max_lag of ∫ (P_T^(step*j) q) h dν with q = h restricted to `window`.
+                            *, step: int = 1, window=None, over=None):
+    """Lags 0..max_lag of ∫ (P_T^(step*j) q) h dν with q = h restricted to `window`,
+    each integrated over the union of the (lo, hi) pairs `over` (None: the whole span).
 
     Returns (terms, exhausted_at) where exhausted_at is the first lag whose
     iterate died (terms from it on are exactly zero), or None.
     """
+    def lag(w):
+        if over is None:
+            return integrate_product([w, h.f])
+        return sum(integrate_product([w, h.f], lo, hi) for (lo, hi) in over)
     v = transfer_action.weighted(h.f)
     if window is not None:
         v = v.windowed_union(window).pruned()
-    terms = [integrate_product([v, h.f])]
+    terms = [lag(v)]
     for w, _ in itertools.islice(transfer_action.iterates(v, step), max_lag):
-        terms.append(integrate_product([w, h.f]))
+        terms.append(lag(w))
     exhausted = len(terms) if len(terms) <= max_lag else None
     terms.extend([0.0] * (max_lag + 1 - len(terms)))
     return np.array(terms), exhausted
@@ -288,38 +293,27 @@ def variance_profile_dyadic(h: Observable, transfer_action: NormalizedTransfer,
 
     The level-n cross term conditioned on an invariant component reduces, via
     the duality of the transfer and composition operators, to the weighted lag
-    sum Σ_s min(s, 2n−s) c_s with c_s the component-restricted autocovariance;
-    only one pass of transfer iterates up to lag 2^(J+1) − 1 is needed, and
-    the pass stops early once an iterate dies.
+    sum Σ_s min(s, 2n−s) c_s with c_s the component-restricted autocovariance,
+    read up to lag 2^(J+1) − 1 from one `autocovariance_sequence` pass per
+    component.  Here that adds at most one push: the tent has one component,
+    and the three-branch iterates die at the first push.
     """
     h.check_centered(transfer_action.gstar)
-    max_lag = 2 ** (J + 1) - 1
     supports = [comp.as_pairs() for comp in components]
-    ncomp = len(supports)
-    cov = np.zeros((ncomp, max_lag + 1))
-    masses = np.empty(ncomp)
-    base = np.empty(ncomp)
-    for i, pairs in enumerate(supports):
-        masses[i] = _component_mass(transfer_action.gstar, pairs)
-        base[i] = sum(integrate_product([h.f, h.f, transfer_action.gstar], lo, hi)
-                      for (lo, hi) in pairs) / masses[i]
-    lags = itertools.islice(transfer_action.iterates(transfer_action.weighted(h.f)), max_lag)
-    for s, (v, _) in enumerate(lags, start=1):
-        for i, pairs in enumerate(supports):
-            cov[i, s] = sum(integrate_product([v, h.f], lo, hi) for (lo, hi) in pairs) / masses[i]
-
-    values = base.copy()
-    partials = [[] for _ in range(ncomp)]
+    masses = np.array([_component_mass(transfer_action.gstar, pairs) for pairs in supports])
+    base = np.array([sum(integrate_product([h.f, h.f, transfer_action.gstar], lo, hi) for (lo, hi) in pairs)
+                     for pairs in supports]) / masses
+    cov = np.array([autocovariance_sequence(h, transfer_action, 2 ** (J + 1) - 1, over=pairs)[0]
+                    for pairs in supports]) / masses[:, None]
+    levels = [base]
     for j in range(J + 1):
         n = 2**j
         s = np.arange(1.0, 2 * n)
         w = np.minimum(s, 2 * n - s)
-        level = np.einsum("ij,j->i", cov[:, 1:2 * n], w) / float(n)
-        values = values + level
-        for i in range(ncomp):
-            partials[i].append(float(values[i]))
-    comps = [(pairs, _clamp_sigma2(float(values[i]), partials[i])) for i, pairs in enumerate(supports)]
-    return VarianceProfile(components=comps, method="dyadic", level_partials=partials)
+        levels.append(np.einsum("ij,j->i", cov[:, 1:2 * n], w) / float(n))
+    partials = np.cumsum(levels, axis=0)[1:].T
+    comps = [(pairs, _clamp_sigma2(float(row[-1]), row.tolist())) for pairs, row in zip(supports, partials)]
+    return VarianceProfile(components=comps, method="dyadic")
 
 
 # ----------------------------------------------------------------------

@@ -253,12 +253,12 @@ class CltSample:
         return self.paths[:, k]
 
     def to_csv(self, path: str):
-        """One row per path and grid time, the floats in `repr`, in one write."""
+        """One row per path and grid time, the floats in `repr`, in one atomic write."""
+        from .cli import _atomic_write
         times = [repr(float(t)) for t in self.t_grid]
         rows = itertools.product(map(str, range(self.paths.shape[0])), times)
         values = map(repr, self.paths.ravel().tolist())
-        with open(path, "w", newline="") as fh:
-            fh.write("path_id,t,value\n" + "".join([f"{i},{t},{v}\n" for (i, t), v in zip(rows, values)]))
+        _atomic_write(path, "path_id,t,value\n" + "".join([f"{i},{t},{v}\n" for (i, t), v in zip(rows, values)]))
 
 
 def partial_sum_paths(map_: PiecewiseLinearMap, h: Observable, n: int, t_grid,

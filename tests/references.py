@@ -22,7 +22,11 @@ package to their bytes:
   they shared one plan: `compose_affine`, `compose_branches` (f o T on the
   concatenated branch grids) and `embed` (zero pieces out to a span);
 - `dyadic_block_norms` with its own pass of the iterates, before it and
-  `condition_report` shared one.
+  `condition_report` shared one;
+- `variance_profile_dyadic` with its own pass of the iterates and its
+  per-component integration of each lag, before it read its lags from
+  `autocovariance_sequence`; it returns the profile with the running value
+  after each level, which the profile no longer keeps.
 """
 
 import itertools
@@ -32,7 +36,7 @@ from collections import deque
 
 import numpy as np
 
-from ergclt.clt import (VarianceProfile, _clamp_sigma2, _fit_slope, _geometric_tail,
+from ergclt.clt import (VarianceProfile, _clamp_sigma2, _component_mass, _fit_slope, _geometric_tail,
                         autocovariance_sequence, blocked_observable)
 from ergclt.densities import _CESARO_WINDOWS, _POWER_MAX_ITER, ConvergenceError, UlamOperator
 from ergclt.maps import Interval, tent_conjugacy, tent_fixed_point
@@ -125,6 +129,39 @@ def variance_profile(components, h, map_, transfer_action, J=64):
         value = float(comp.period / mass * (terms[0] + 2.0 * terms[1:].sum()))
         out.append((comp.as_pairs(), _clamp_sigma2(value, terms)))
     return VarianceProfile(components=out, method="autocov")
+
+
+def variance_profile_dyadic(h, transfer_action, components, J=16):
+    """(profile, level_partials): level_partials[i][j] is component i's value
+    after level j."""
+    h.check_centered(transfer_action.gstar)
+    max_lag = 2 ** (J + 1) - 1
+    supports = [comp.as_pairs() for comp in components]
+    ncomp = len(supports)
+    cov = np.zeros((ncomp, max_lag + 1))
+    masses = np.empty(ncomp)
+    base = np.empty(ncomp)
+    for i, pairs in enumerate(supports):
+        masses[i] = _component_mass(transfer_action.gstar, pairs)
+        base[i] = sum(integrate_product([h.f, h.f, transfer_action.gstar], lo, hi)
+                      for (lo, hi) in pairs) / masses[i]
+    lags = itertools.islice(transfer_action.iterates(transfer_action.weighted(h.f)), max_lag)
+    for s, (v, _) in enumerate(lags, start=1):
+        for i, pairs in enumerate(supports):
+            cov[i, s] = sum(integrate_product([v, h.f], lo, hi) for (lo, hi) in pairs) / masses[i]
+
+    values = base.copy()
+    partials = [[] for _ in range(ncomp)]
+    for j in range(J + 1):
+        n = 2**j
+        s = np.arange(1.0, 2 * n)
+        w = np.minimum(s, 2 * n - s)
+        level = np.einsum("ij,j->i", cov[:, 1:2 * n], w) / float(n)
+        values = values + level
+        for i in range(ncomp):
+            partials[i].append(float(values[i]))
+    comps = [(pairs, _clamp_sigma2(float(values[i]), partials[i])) for i, pairs in enumerate(supports)]
+    return VarianceProfile(components=comps, method="dyadic"), partials
 
 
 def _fit_decay_rate(norms):

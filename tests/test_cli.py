@@ -3,7 +3,9 @@
 import hashlib
 import json
 import math
+import os
 import re
+import stat
 import time
 
 import pytest
@@ -267,11 +269,12 @@ def test_verify_grid_at_the_default_value_applies_to_every_periodicity_case(tmp_
 
 
 def _counted(monkeypatch, name, *modules):
-    """The calls of `name` through any of `modules`, as a list that grows."""
+    """The keyword arguments of each call of `name` through any of `modules`,
+    as a list that grows."""
     calls = []
     for module in modules:
         real = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda *a, real=real, **kw: calls.append(name) or real(*a, **kw))
+        monkeypatch.setattr(module, name, lambda *a, real=real, **kw: calls.append(kw) or real(*a, **kw))
     return calls
 
 
@@ -285,13 +288,33 @@ def test_density_solves_the_ulam_chain_once(tmp_path, monkeypatch):
 
 def test_variance_above_sqrt2_sums_one_lag_series(tmp_path, monkeypatch):
     """At period 1 autocov and resolvent are one lag sum, computed once and
-    written under both keys."""
+    written under both keys.  The dyadic series reads its lags in one more
+    call, restricted to the map's one component."""
     calls = _counted(monkeypatch, "autocovariance_sequence", clt)
     out = str(tmp_path / "v")
     assert main(["variance", "--map", "tent", "--a", "1.8", "--out", out]) == 0
-    assert len(calls) == 1
+    assert len([kw for kw in calls if kw.get("over") is None]) == 1
+    assert len([kw for kw in calls if kw.get("over") is not None]) == 1
     body = read_json(out + ".json")
     assert body["resolvent"] == dict(body["autocov"], method="resolvent")
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o002], ids=oct)
+def test_outputs_get_the_mode_of_a_plain_create(umask, tmp_path):
+    """Every file `density` and `simulate` write gets the mode that
+    `open(..., "w")` gives a new file in the same directory (0o666 less the
+    umask), not the 0o600 of a private temp file."""
+    old = os.umask(umask)
+    try:
+        with open(tmp_path / "plain", "w"):
+            pass
+        assert main(["density", "--map", "tent", "--a", "2", "--grid", "256", "--out", str(tmp_path / "d")]) == 0
+        assert main(["simulate", "--map", "three-branch", "--steps", "64", "--paths", "8",
+                     "--out", str(tmp_path / "s")]) == 0
+    finally:
+        os.umask(old)
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+    assert modes == dict.fromkeys(["plain", "d.csv", "d.json", "s.csv", "s.json"], 0o666 & ~umask)
 
 
 def test_runconfig_bounds():

@@ -334,14 +334,47 @@ def test_profile_matches_replaced_code():
         assert repr(got) == repr(ref.variance_profile(comps, h, system.map, system.transfer, J=J))
 
 
+def _dyadic_levels(system, components, J):
+    """Each component's dyadic value at levels 0..J, one call per level."""
+    profiles = [variance_profile_dyadic(system.observable, system.transfer, components, J=j) for j in range(J + 1)]
+    return [[prof.components[i][1] for prof in profiles] for i in range(len(components))]
+
+
+def test_dyadic_profile_matches_its_own_lag_pass():
+    """The dyadic profile from one `autocovariance_sequence` call per
+    component has the bits of the former profile with its own pass of the
+    iterates: below sqrt(2) (tent 1.3, 1.1 and 1.08, where no pinned run
+    reaches), on the two three-branch components, and for random centered
+    steps on tent 1.3.  Its value at each J <= 7 is the former running value
+    after level J."""
+    from ergclt.maps import _tent_core_interval
+    sys13 = tent_system(1.3)
+    core = _tent_core_interval(1.3)
+    rng = np.random.default_rng(23)
+    cases = [(s, s.observable) for s in (sys13, tent_system(1.1), tent_system(1.08), three_branch_system())]
+    for _ in range(3):
+        bp = np.sort(np.concatenate([[-1.0, 1.0], rng.uniform(core.lo, core.hi, 5)]))
+        raw = PAF.step(bp, rng.normal(size=len(bp) - 1))
+        mean = integrate_product([raw, sys13.density])
+        cases.append((sys13, Observable(f=raw - PAF.constant(-1.0, 1.0, mean), centered_wrt="tent(a=1.3)")))
+    for system, h in cases:
+        want, partials = ref.variance_profile_dyadic(h, system.transfer, system.components, J=7)
+        for J in range(8):
+            got = variance_profile_dyadic(h, system.transfer, system.components, J=J)
+            assert got.method == want.method
+            assert [pairs for pairs, _ in got.components] == [pairs for pairs, _ in want.components]
+            assert [v.hex() for _, v in got.components] == [row[J].hex() for row in partials]
+        assert [v.hex() for _, v in got.components] == [v.hex() for _, v in want.components]
+
+
 def test_dyadic_profile_three_branch_exact():
     tb = three_branch_system()
     prof = variance_profile_dyadic(tb.observable, tb.transfer, tb.components, J=10)
     vals = [v for _, v in prof.components]
     assert vals == pytest.approx([1.0, 4.0], abs=1e-12)
-    # all cross terms vanish, so every level partial equals the base value
-    for partials, expect in zip(prof.level_partials, (1.0, 4.0)):
-        assert all(p == pytest.approx(expect, abs=1e-12) for p in partials)
+    # all cross terms vanish, so every level value equals the base value
+    for levels, expect in zip(_dyadic_levels(tb, tb.components, 12), (1.0, 4.0)):
+        assert all(p == pytest.approx(expect, abs=1e-12) for p in levels)
 
 
 def test_dyadic_profile_tent2_constant_third():
@@ -355,15 +388,13 @@ def test_dyadic_profile_converges_to_resolvent():
     system = tent_system(a)
     res = sigma2_resolvent(system.observable, system.transfer)
     span = tent_support_cycle(a).intervals[0]
-    prof = variance_profile_dyadic(system.observable, system.transfer,
-                                   [SupportCycle(intervals=(span,), period=1)], J=12)
-    partials = prof.level_partials[0]
+    partials = _dyadic_levels(system, [SupportCycle(intervals=(span,), period=1)], 12)[0]
     # levels are Cauchy: increments shrink roughly geometrically (ratio ~1/2)
     incs = [abs(b - a_) for a_, b in zip(partials, partials[1:])]
     assert incs[-1] <= 0.3 * incs[-4]
     # the remaining truncation error is on the order of the last increment
     tol = 3 * incs[-1] + 2 * res.tail_bound + 1e-9
-    assert prof.components[0][1] == pytest.approx(res.sigma2, abs=tol)
+    assert partials[-1] == pytest.approx(res.sigma2, abs=tol)
 
 
 def test_profile_weights_for_mixture():

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import os
 import tracemalloc
 from unittest import mock
 
@@ -278,6 +279,23 @@ def test_csv_round_trip(tmp_path):
     assert len(rows) == 1 + 10 * 2
     pid, t, v = rows[1].split(",")
     assert float(v) == sample.paths[0, 0]
+
+
+def test_csv_rename_failure_keeps_the_old_file(tmp_path, monkeypatch):
+    """The sample CSV goes through a temp file and a rename: when the rename
+    fails, the CSV already there is left as it was and no temp file remains."""
+    sample = simulate.CltSample(n=8, t_grid=np.array([1.0]), paths=np.array([[0.5]]))
+    out = tmp_path / "sample.csv"
+    out.write_text("old\n")
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        sample.to_csv(str(out))
+    assert out.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["sample.csv"]
 
 
 @pytest.mark.parametrize("shape", [(4, 3), (1, 1), (0, 2), (3, 0)])

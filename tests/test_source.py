@@ -45,3 +45,26 @@ def test_every_import_is_read():
                 read.add(node.id)
         unread.update({name: where for name, where in imported.items() if name not in read})
     assert unread == {}
+
+
+def test_transfer_iterates_are_read_in_two_loops():
+    """`.iterates(` is called in `src/ergclt` only inside
+    `clt.partial_sum_norms` and `clt.autocovariance_sequence`: every other
+    route takes its partial sums or lag integrals from one of those two
+    loops, not from a loop of its own."""
+    loops = {"partial_sum_norms", "autocovariance_sequence"}
+    stray, reading = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        inside = {}
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef) and func.name in loops and path.name == "clt.py":
+                inside.update((id(node), func.name) for node in ast.walk(func))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "iterates":
+                if id(node) in inside:
+                    reading.add(inside[id(node)])
+                else:
+                    stray.append(f"{path.name}:{node.lineno}")
+    assert stray == []
+    assert reading == loops
