@@ -268,13 +268,19 @@ def test_verify_grid_at_the_default_value_applies_to_every_periodicity_case(tmp_
     assert [r["grid"] for r in rows] == [4096] * 6
 
 
-def _counted(monkeypatch, name, *modules):
+def _counted(monkeypatch, name, *modules, log=None):
     """The keyword arguments of each call of `name` through any of `modules`,
-    as a list that grows."""
+    as a list that grows; each call also appends `name` to `log`, if given."""
     calls = []
     for module in modules:
         real = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda *a, real=real, **kw: calls.append(kw) or real(*a, **kw))
+
+        def counted(*a, real=real, **kw):
+            calls.append(kw)
+            if log is not None:
+                log.append(name)
+            return real(*a, **kw)
+        monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -297,6 +303,32 @@ def test_variance_above_sqrt2_sums_one_lag_series(tmp_path, monkeypatch):
     assert len([kw for kw in calls if kw.get("over") is not None]) == 1
     body = read_json(out + ".json")
     assert body["resolvent"] == dict(body["autocov"], method="resolvent")
+
+
+def test_variance_base_runs_before_the_dyadic_series(tmp_path, monkeypatch, capsys):
+    """The recursion's base raises at every a <= 2^(1/4), so it runs before
+    the dyadic series, the costliest route: a failing run never reaches it."""
+    order = []
+    dyadic = _counted(monkeypatch, "variance_profile_dyadic", cli, log=order)
+    assert main(["variance", "--map", "tent", "--a", "1.1", "--out", str(tmp_path / "v")]) == 3
+    assert capsys.readouterr().err.startswith("numerical failure: ")
+    assert not (tmp_path / "v.json").exists()
+    assert dyadic == []
+    for name in ("sigma2_autocovariance", "sigma2_resolvent"):
+        _counted(monkeypatch, name, cli, log=order)
+    assert main(["variance", "--map", "tent", "--a", "1.3", "--out", str(tmp_path / "w")]) == 0
+    assert order == ["sigma2_autocovariance", "sigma2_resolvent", "variance_profile_dyadic"]
+
+
+@pytest.mark.parametrize("a, rate", [("1.19", "0.9973"), ("1.15", "1.0793"), ("1.1", "1.0000"),
+                                     ("1.08", "1.0001"), ("1.05", "1.0001"), ("1.03", "1.3969")])
+def test_tent_variance_failures_keep_their_messages(a, rate, tmp_path, capsys):
+    """At these a every tent run exits 3 with a "not decaying" message,
+    whichever route raises it; the exact text is pinned, so reordering the
+    routes cannot change what a user sees."""
+    assert main(["variance", "--map", "tent", "--a", a, "--out", str(tmp_path / "v")]) == 3
+    assert capsys.readouterr().err == f"numerical failure: autocovariance lags are not decaying (fitted rate {rate})\n"
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o002], ids=oct)
