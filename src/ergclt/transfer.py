@@ -81,10 +81,7 @@ def _branch_plan(map_: PiecewiseLinearMap, bp: np.ndarray, push: bool):
     composed grid inside f's span, one run as the branch is monotone, each
     repeated over the output cells it covers.  A push takes each inverse
     branch over its image, k = 1/|branch slope|, padded to the domain by
-    zero pieces; a composition each branch over its piece, k = 1.  The
-    grid is the union of the branch grids: a composition concatenates them,
-    as the map's pieces tile the domain in order and meet exactly; a push
-    sorts them, as the branch images overlap and its pads lie out of order."""
+    zero pieces; a composition each branch over its piece, k = 1."""
     lo, hi = map_.domain.lo, map_.domain.hi
     scale = max(1.0, abs(lo), abs(hi))
     parts, ends = [], []
@@ -101,8 +98,7 @@ def _branch_plan(map_: PiecewiseLinearMap, bp: np.ndarray, push: bool):
         right = push and bool(hi > grid[-1] + _BP_EPS * scale)
         ends += [lo] * left + [hi] * right
         parts.append((grid, idx, outside, right, slope, intercept, k))
-    grids = [np.array(ends), *(p[0] for p in parts)]
-    out = _dedupe_breakpoints(_sorted_union(grids) if push else np.concatenate(grids))
+    out = _dedupe_breakpoints(_sorted_union([np.array(ends), *(p[0] for p in parts)]))
     _check_budget(len(out) - 1)
     mids = 0.5 * (out[:-1] + out[1:])
     terms = []
