@@ -15,7 +15,6 @@ import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 from .clt import (
     Observable,
@@ -46,6 +45,7 @@ from .simulate import (
     ks_statistic,
     limit_law_check,
     maximal_inequality_sweep,
+    mixture_normal_cdf,
     partial_sum_paths,
     sample_from_density,
 )
@@ -119,7 +119,7 @@ def crit_limit_law_mixture(seed: int = DEFAULT_SEED) -> CriterionResult:
     inits = sample_from_density(tb.density, 4000, seed)
     sample = partial_sum_paths(tb.map, tb.observable, 4096, [1.0], inits, seed)
     prof = variance_profile(tb.observable, tb.transfer, tb.components, J=32)
-    reports = limit_law_check(sample, prof, inits)
+    reports = limit_law_check(sample, prof)
     stats = [r.ks_stat for r in reports]
     ok = all(s <= 0.05 for s in stats)
     return CriterionResult(
@@ -135,7 +135,7 @@ def crit_limit_law_ergodic(seed: int = DEFAULT_SEED) -> CriterionResult:
     inits = sample_from_density(sys2.density, 4000, seed)
     sample = partial_sum_paths(sys2.map, sys2.observable, 4096, [1.0], inits, seed)
     w = sample.marginal(1.0)
-    ks = ks_statistic(w, lambda x: ndtr(x / math.sqrt(1.0 / 3.0))).ks_stat
+    ks = ks_statistic(w, lambda x: mixture_normal_cdf([(1.0, 1.0 / 3.0)], 1.0, x)).ks_stat
     var = float(w.var(ddof=1))
     rel = abs(var - 1.0 / 3.0) * 3.0
     ok = ks <= 0.05 and rel <= 0.05
@@ -323,23 +323,19 @@ def crit_determinism(seed: int = DEFAULT_SEED) -> CriterionResult:
     from .cli import RunConfig, cmd_simulate
 
     outputs = []
-    for run in (1, 2):
-        # same relative output name both times: the resolved config is part
+    with tempfile.TemporaryDirectory() as tmp:
+        # one absolute output name for both runs: the resolved config is part
         # of the JSON payload, so byte-identity needs identical configs
-        with tempfile.TemporaryDirectory() as tmp:
-            cwd = os.getcwd()
-            os.chdir(tmp)
-            try:
-                cfg = RunConfig(map_spec="three_branch", steps_n=256, paths=200, seed=seed,
-                                output_path="run")
-                cmd_simulate(cfg)
-                with open("run.csv", "rb") as fh:
-                    csv_bytes = fh.read()
-                with open("run.json", "rb") as fh:
-                    json_bytes = fh.read()
-            finally:
-                os.chdir(cwd)
-            outputs.append((csv_bytes, json_bytes))
+        cfg = RunConfig(map_spec="three_branch", steps_n=256, paths=200, seed=seed,
+                        output_path=os.path.join(tmp, "run"))
+        for _ in range(2):
+            cmd_simulate(cfg)
+            run = []
+            for name in (cfg.output_path + ".csv", cfg.output_path + ".json"):
+                with open(name, "rb") as fh:
+                    run.append(fh.read())
+                os.remove(name)  # a second run that writes nothing must not pass on these
+            outputs.append(tuple(run))
     ok = outputs[0] == outputs[1]
     return CriterionResult(
         "determinism", ok,

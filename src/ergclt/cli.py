@@ -93,8 +93,8 @@ class RunConfig:
             raise ValueError("grid must lie in [2, 65536]")
         if not 1 <= self.steps_n <= 2**22:
             raise ValueError("steps must lie in [1, 2^22]")
-        if not 1 <= self.paths <= 10**6:
-            raise ValueError("paths must lie in [1, 10^6]")
+        if not 2 <= self.paths <= 10**6:
+            raise ValueError("paths must lie in [2, 10^6]")
         if not 0 <= self.truncation_J <= 2**16:
             raise ValueError("truncation must lie in [0, 65536]")
         if not 0 <= self.dyadic_levels <= 16:
@@ -233,7 +233,7 @@ def cmd_simulate(config: RunConfig) -> int:
                                inits, config.seed)
     sample.to_csv(config.output_path + ".csv")
     prof = variance_profile(system.observable, system.transfer, system.components, J=config.truncation_J)
-    reports = limit_law_check(sample, prof, inits)
+    reports = limit_law_check(sample, prof)
     body = {
         "variance_profile": prof.to_dict(),
         "gof_reports": [asdict(r) for r in reports],

@@ -241,12 +241,13 @@ class CltSample:
     """Scaled partial-sum values w_n(t) for a batch of paths.
 
     paths[i, k] is n^(-1/2) times the first floor(n * t_grid[k]) observable
-    values along path i's orbit; the empty sum at t < 1/n is zero.
+    values along the orbit from inits[i]; the empty sum at t < 1/n is zero.
     """
 
     n: int
     t_grid: np.ndarray
     paths: np.ndarray
+    inits: np.ndarray
 
     def marginal(self, t: float) -> np.ndarray:
         k = int(np.flatnonzero(np.isclose(self.t_grid, t))[0])
@@ -286,7 +287,7 @@ def partial_sum_paths(map_: PiecewiseLinearMap, h: Observable, n: int, t_grid,
         s += value
         for col in by_step.get(j, ()):
             out[:, col] = s * scale
-    return CltSample(n=n, t_grid=t_grid, paths=out)
+    return CltSample(n=n, t_grid=t_grid, paths=out, inits=inits)
 
 
 # ----------------------------------------------------------------------
@@ -335,52 +336,37 @@ def mixture_normal_cdf(components, t: float, x):
     return out
 
 
-def limit_law_check(sample: CltSample, profile: VarianceProfile, init_points) -> list[GofReport]:
-    """KS reports of the marginals against the predicted mixture law, plus
-    per-component reports conditioning each path on its initial component.
+def limit_law_check(sample: CltSample, profile: VarianceProfile) -> list[GofReport]:
+    """KS reports of the marginals at each grid time t > 0.  The targets are
+    the mixture law over all paths, then each component's normal law (a
+    one-term mixture) over the paths started in it, if they are two or more.
     Each component's mixture weight is the share of initial points in it."""
-    inits = np.asarray(init_points, dtype=float)
-    if len(inits) != sample.paths.shape[0]:
-        raise ValueError("one initial point per path is required")
+    inits = sample.inits
+    assigned = np.zeros(len(inits), dtype=bool)
     masks = []
     for supports, _ in profile.components:
-        m = np.zeros(len(inits), dtype=bool)
-        for (lo, hi) in supports:
-            m |= (inits >= lo) & (inits <= hi)
+        m = ~assigned & np.any([(inits >= lo) & (inits <= hi) for (lo, hi) in supports], axis=0)
+        assigned |= m  # points on shared boundaries count once, for the first component
         masks.append(m)
-    assigned = np.zeros(len(inits), dtype=bool)
-    for m in masks:
-        m &= ~assigned  # points on shared boundaries count once, for the first component
-        assigned |= m
     if not np.all(assigned):
         raise ValueError("some initial points lie in no component")
     mixture = profile.mixture([float(m.mean()) for m in masks])
+    # (rows of sample.paths, law as (weight, variance) pairs, target, note when degenerate)
+    targets = [(slice(None), mixture, {"mixture": mixture}, "degenerate limit: KS skipped")]
+    targets += [(m, [(1.0, v)], {"component": [list(s) for s in supports], "sigma2": v},
+                 "degenerate component: KS skipped")
+                for m, (supports, v) in zip(masks, profile.components) if np.count_nonzero(m) >= 2]
 
     reports = []
-    for col, t in enumerate(sample.t_grid):
+    for col, t in enumerate(sample.t_grid.tolist()):
         if t <= 0:
             continue
-        vals = sample.paths[:, col]
-        if all(v * t == 0 for _, v in mixture):
-            reports.append(GofReport(0.0, len(vals), {"mixture": mixture}, float(t),
-                                     note="degenerate limit: KS skipped"))
-        else:
-            reports.append(ks_statistic(
-                vals, lambda x: mixture_normal_cdf(mixture, float(t), x),
-                target={"mixture": mixture}, t=float(t),
-            ))
-        for m, (supports, v) in zip(masks, profile.components):
-            if np.count_nonzero(m) < 2:
-                continue
-            cond = vals[m]
-            if v * t == 0:
-                reports.append(GofReport(0.0, len(cond), {"component": list(supports), "sigma2": v},
-                                         float(t), note="degenerate component: KS skipped"))
-                continue
-            reports.append(ks_statistic(
-                cond, lambda x: ndtr(x / math.sqrt(v * float(t))),
-                target={"component": [list(s) for s in supports], "sigma2": v}, t=float(t),
-            ))
+        for rows, law, target, degenerate in targets:
+            vals = sample.paths[rows, col]
+            if all(v * t == 0 for _, v in law):
+                reports.append(GofReport(0.0, len(vals), target, t, note=degenerate))
+            else:
+                reports.append(ks_statistic(vals, lambda x: mixture_normal_cdf(law, t, x), target=target, t=t))
     return reports
 
 

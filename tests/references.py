@@ -26,7 +26,10 @@ package to their bytes:
 - `variance_profile_dyadic` with its own pass of the iterates and its
   per-component integration of each lag, before it read its lags from
   `autocovariance_sequence`; it returns the profile with the running value
-  after each level, which the profile no longer keeps.
+  after each level, which the profile no longer keeps;
+- `limit_law_check` with the initial points passed apart from the sample,
+  and its two hand-written report branches, one for the mixture and one
+  for the components, each with its own degenerate skip.
 """
 
 import itertools
@@ -35,6 +38,7 @@ import math
 from collections import deque
 
 import numpy as np
+from scipy.special import ndtr
 
 from ergclt.clt import (VarianceProfile, _clamp_sigma2, _component_mass, _fit_slope, _geometric_tail,
                         autocovariance_sequence, blocked_observable)
@@ -42,7 +46,8 @@ from ergclt.densities import _CESARO_WINDOWS, _POWER_MAX_ITER, ConvergenceError,
 from ergclt.maps import Interval, tent_conjugacy, tent_fixed_point
 from ergclt.piecewise import (_BP_EPS, MEASURE_TOL, PiecewiseAffineFunction, _cells_covered, _dedupe_breakpoints,
                               integrate_product, pw_sum)
-from ergclt.simulate import _STREAM_BITS, _TWO64, _dyadic_engine_params, _rng
+from ergclt.simulate import (_STREAM_BITS, _TWO64, GofReport, _dyadic_engine_params, _rng, ks_statistic,
+                             mixture_normal_cdf)
 
 
 def branch_index(map_, x):
@@ -383,3 +388,49 @@ def dyadic_block_norms(f, transfer_action, q):
         else:
             norms.append(running.norm_l2(transfer_action.ginv))
     return norms
+
+
+def limit_law_check(sample, profile, init_points):
+    inits = np.asarray(init_points, dtype=float)
+    if len(inits) != sample.paths.shape[0]:
+        raise ValueError("one initial point per path is required")
+    masks = []
+    for supports, _ in profile.components:
+        m = np.zeros(len(inits), dtype=bool)
+        for (lo, hi) in supports:
+            m |= (inits >= lo) & (inits <= hi)
+        masks.append(m)
+    assigned = np.zeros(len(inits), dtype=bool)
+    for m in masks:
+        m &= ~assigned  # points on shared boundaries count once, for the first component
+        assigned |= m
+    if not np.all(assigned):
+        raise ValueError("some initial points lie in no component")
+    mixture = profile.mixture([float(m.mean()) for m in masks])
+
+    reports = []
+    for col, t in enumerate(sample.t_grid):
+        if t <= 0:
+            continue
+        vals = sample.paths[:, col]
+        if all(v * t == 0 for _, v in mixture):
+            reports.append(GofReport(0.0, len(vals), {"mixture": mixture}, float(t),
+                                     note="degenerate limit: KS skipped"))
+        else:
+            reports.append(ks_statistic(
+                vals, lambda x: mixture_normal_cdf(mixture, float(t), x),
+                target={"mixture": mixture}, t=float(t),
+            ))
+        for m, (supports, v) in zip(masks, profile.components):
+            if np.count_nonzero(m) < 2:
+                continue
+            cond = vals[m]
+            if v * t == 0:
+                reports.append(GofReport(0.0, len(cond), {"component": list(supports), "sigma2": v},
+                                         float(t), note="degenerate component: KS skipped"))
+                continue
+            reports.append(ks_statistic(
+                cond, lambda x: ndtr(x / math.sqrt(v * float(t))),
+                target={"component": [list(s) for s in supports], "sigma2": v}, t=float(t),
+            ))
+    return reports

@@ -6,10 +6,11 @@ same runners.
 """
 
 import hashlib
+import os
 
 import pytest
 
-from ergclt.acceptance import CRITERIA, DEFAULT_SEED, results_to_json, run_acceptance
+from ergclt.acceptance import CRITERIA, DEFAULT_SEED, crit_determinism, results_to_json, run_acceptance
 
 # sha256 of the report `ergclt verify --out v` writes as v.json: any change to
 # a measured value, down to the last bit, must be deliberate.
@@ -32,3 +33,13 @@ def test_criterion(name, results, capsys):
 def test_verify_report_pinned(results):
     report = results_to_json(list(results.values()), DEFAULT_SEED) + "\n"
     assert hashlib.sha256(report.encode("utf-8")).hexdigest() == VERIFY_REPORT_SHA256
+
+
+def test_determinism_keeps_the_working_directory(monkeypatch):
+    """The criterion writes both runs under one absolute name in a temporary
+    directory: it never changes the process's working directory."""
+    def refuse(path):
+        raise OSError("chdir refused")
+
+    monkeypatch.setattr(os, "chdir", refuse)
+    assert crit_determinism().passed

@@ -115,6 +115,14 @@ def test_usage_errors():
     assert main(["bogus"]) == 2
 
 
+def test_simulate_one_path_is_rejected_before_any_work(tmp_path, capsys):
+    """Every KS report and sample variance needs two paths, so --paths 1 is
+    a usage error found before any orbit runs: no file is written."""
+    assert main(["simulate", "--map", "three-branch", "--paths", "1", "--out", str(tmp_path / "s1")]) == 2
+    assert "paths must lie in [2, 10^6]" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_deep_window_density_exits_3(tmp_path, capsys):
     """A tent density that float64 cannot resolve is a numerical failure,
     found before any series runs."""
@@ -354,8 +362,9 @@ def test_runconfig_bounds():
         RunConfig(grid_n=2**17).validate()
     with pytest.raises(ValueError):
         RunConfig(steps_n=2**23).validate()
-    with pytest.raises(ValueError):
-        RunConfig(paths=10**6 + 1).validate()
+    for paths in (1, 10**6 + 1):
+        with pytest.raises(ValueError, match=r"paths must lie in \[2, 10\^6\]"):
+            RunConfig(paths=paths).validate()
     with pytest.raises(ValueError):
         RunConfig(format="xml").validate()
     with pytest.raises(ValueError):

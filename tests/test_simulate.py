@@ -1,6 +1,8 @@
 """Path simulation, goodness-of-fit machinery, and the maximal inequality."""
 
+import dataclasses
 import itertools
+import json
 import math
 import os
 import tracemalloc
@@ -284,7 +286,7 @@ def test_csv_round_trip(tmp_path):
 def test_csv_rename_failure_keeps_the_old_file(tmp_path, monkeypatch):
     """The sample CSV goes through a temp file and a rename: when the rename
     fails, the CSV already there is left as it was and no temp file remains."""
-    sample = simulate.CltSample(n=8, t_grid=np.array([1.0]), paths=np.array([[0.5]]))
+    sample = simulate.CltSample(n=8, t_grid=np.array([1.0]), paths=np.array([[0.5]]), inits=np.array([0.0]))
     out = tmp_path / "sample.csv"
     out.write_text("old\n")
 
@@ -304,7 +306,8 @@ def test_csv_matches_row_by_row_reference(tmp_path, shape):
     zeros, infinities, NaN and subnormals included."""
     special = [0.0, -0.0, math.inf, -math.nan, 5e-324, 1.0 / 3.0, -1e300, 123456789.0]
     paths = np.resize(np.array(special), shape[0] * shape[1]).reshape(shape)
-    sample = simulate.CltSample(n=8, t_grid=np.linspace(0.0, 1.0, shape[1]), paths=paths)
+    sample = simulate.CltSample(n=8, t_grid=np.linspace(0.0, 1.0, shape[1]), paths=paths,
+                               inits=np.zeros(shape[0]))
     sample.to_csv(str(tmp_path / "new.csv"))
     ref.sample_csv(sample, str(tmp_path / "old.csv"))
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
@@ -373,7 +376,7 @@ def test_limit_law_three_branch_moderate_scale():
     inits = sample_from_density(tb.density, 2000, 17)
     sample = partial_sum_paths(tb.map, tb.observable, 2048, [0.5, 1.0], inits, 17)
     prof = variance_profile(tb.observable, tb.transfer, tb.components, J=16)
-    reports = limit_law_check(sample, prof, inits)
+    reports = limit_law_check(sample, prof)
     assert len(reports) == 6  # (mixture + 2 components) x 2 grid times
     assert all(r.ks_stat <= 0.07 for r in reports)
 
@@ -384,7 +387,7 @@ def test_limit_law_zero_observable_flagged():
     inits = sample_from_density(tb.density, 50, 19)
     sample = partial_sum_paths(tb.map, zero, 64, [1.0], inits, 19)
     prof = variance_profile(zero, tb.transfer, tb.components, J=4)
-    reports = limit_law_check(sample, prof, inits)
+    reports = limit_law_check(sample, prof)
     assert all("skipped" in r.note for r in reports)
     assert all(r.ks_stat == 0.0 for r in reports)
 
@@ -395,7 +398,39 @@ def test_limit_law_rejects_unassigned_inits():
     sample = partial_sum_paths(tb.map, tb.observable, 64, [1.0], inits, 23)
     prof = variance_profile(tb.observable, tb.transfer, [tb.components[0]], J=4)
     with pytest.raises(ValueError):
-        limit_law_check(sample, prof, inits)
+        limit_law_check(sample, prof)
+
+
+def _as_written(reports):
+    """`repr` of the reports with each target as JSON holds it, where the
+    tuples and the lists of a component's intervals are the same arrays."""
+    return repr([dataclasses.replace(r, target=json.loads(json.dumps(r.target))) for r in reports])
+
+
+def _limit_law_cases():
+    tb = three_branch_system()
+    zero = Observable(f=PAF.constant(0, 1, 0.0), centered_wrt="three_branch")
+    left = np.linspace(0.01, 0.49, 40)
+    for seed in (3, 5, 11):
+        yield tb.map, tb.observable, tb, sample_from_density(tb.density, 300, seed), seed
+    yield tb.map, zero, tb, sample_from_density(tb.density, 60, 19), 19  # both skip notes
+    yield tb.map, tb.observable, tb, left, 37                            # right component: no path
+    yield tb.map, tb.observable, tb, np.append(left, 0.7), 41            # right component: one path
+    yield tb.map, tb.observable, tb, np.append(left, [0.5, 0.5, 0.75, 0.9]), 43  # shared boundary 0.5
+    tent = tent_system(1.3)
+    yield tent.map, tent.observable, tent, sample_from_density(tent.density, 300, 47), 47
+
+
+@pytest.mark.parametrize("case", range(8))
+def test_limit_law_check_matches_two_branch_reference(case):
+    """One path over the targets (the mixture, then each component as a
+    one-term mixture) gives the reports of the two-branch check, on a grid
+    that includes t = 0."""
+    map_, h, system, inits, seed = list(_limit_law_cases())[case]
+    sample = partial_sum_paths(map_, h, 256, [0.0, 0.25, 0.5, 1.0], inits, seed)
+    prof = variance_profile(h, system.transfer, system.components, J=8)
+    want = ref.limit_law_check(sample, prof, inits)
+    assert _as_written(limit_law_check(sample, prof)) == _as_written(want)
 
 
 def test_variance_consistency_with_profile():
