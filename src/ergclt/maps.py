@@ -78,8 +78,10 @@ class PiecewiseLinearMap:
         self._inner_edges = np.array([piece.hi for (piece, _, _) in self.branches[:-1]])
         self._slopes = np.array([s for (_, s, _) in self.branches])
         self._intercepts = np.array([c for (_, _, c) in self.branches])
-        # The geometry of recent transfer pushes, by input grid; kept and
-        # read by `transfer.frobenius_perron`.
+        # The branch tables of the push and the composition, and the
+        # geometry of recent transfer pushes, by input grid; kept and read
+        # by `transfer`.
+        self.branch_tables: dict = {}
         self.push_plans: dict = {}
 
     def _validate(self):

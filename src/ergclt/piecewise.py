@@ -89,30 +89,6 @@ def _cell_index(bp: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(idx, 0, out=idx), len(bp) - 2, out=idx)
 
 
-def _preimage_cells(bp: np.ndarray, slope: float, intercept: float, lo: float, hi: float):
-    """The geometry of x -> f(slope*x + intercept) on [lo, hi] for f on grid
-    bp, slope != 0: the composed grid, the cell of f behind each of its
-    cells, and the mask of its cells that map off f's span (None if none do).
-    It reads only bp, never f's values."""
-    # Preimages of f's breakpoints under the affine map, kept inside (lo, hi).
-    pre = (bp - intercept) / slope
-    if slope < 0:
-        pre = pre[::-1]
-    inner = pre[(pre > lo) & (pre < hi)]
-    grid = _dedupe_breakpoints(np.concatenate(([lo], inner, [hi])))
-    mids = 0.5 * (grid[:-1] + grid[1:])
-    y = slope * mids + intercept
-    idx = _cell_index(bp, y)
-    # f is 0 off its span, not its clamped end piece; y is monotone, so its
-    # ends show whether any cell maps off the span, and those cells are a
-    # prefix or a suffix of the grid's.
-    f_lo, f_hi = bp[0], bp[-1]
-    outside = None
-    if min(y[0], y[-1]) < f_lo or max(y[0], y[-1]) > f_hi:
-        outside = (y < f_lo) | (y > f_hi)
-    return grid, idx, outside
-
-
 class PiecewiseAffineFunction:
     """A function that is affine on each cell of a breakpoint grid."""
 

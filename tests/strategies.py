@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from ergclt.maps import Interval, PiecewiseLinearMap, tent_map, three_branch_map
 from ergclt.piecewise import PiecewiseAffineFunction as PAF
+from ergclt.transfer import frobenius_perron
 
 
 @st.composite
@@ -69,6 +70,13 @@ def functions_through(draw, points, lo=-1.0, hi=1.0):
 SHORT_IMAGE_MAP = PiecewiseLinearMap(Interval(0.0, 1.0), [((0.0, 0.5), 1.2, 0.1), ((0.5, 1.0), -1.2, 1.3)])
 
 
+# Three branches on [0, 1], the last with slope 256: a push reads f through
+# an inverse slope of 1/256, so the one-pass plan needs more room per output
+# cell than the merge tolerance.
+STEEP_MAP = PiecewiseLinearMap(Interval(0.0, 1.0), [((0.0, 0.5), 2.0, 0.0), ((0.5, 255 / 256), -2.0, 2.0),
+                                                    ((255 / 256, 1.0), 256.0, -255.0)])
+
+
 @st.composite
 def maps_and_functions_through(draw):
     """A tent map with a in (1, 2], the three-branch map or SHORT_IMAGE_MAP,
@@ -112,3 +120,17 @@ def orbit_cases(draw):
     near = [float(np.clip(np.nextafter(x, d), lo, hi)) for x in on_cuts for d in (-np.inf, np.inf)]
     free = draw(st.lists(st.floats(lo, hi), min_size=1, max_size=8))
     return map_, f, np.array(free + on_cuts + near)
+
+
+@st.composite
+def plan_cases(draw):
+    """A tent map with a in (1, 2], the three-branch map, SHORT_IMAGE_MAP or
+    STEEP_MAP, and the grid of a function through the branch edges, their
+    images or near twins, pushed 0-2 times so that it may be an iterate's."""
+    map_ = draw(st.sampled_from([three_branch_map(), SHORT_IMAGE_MAP, STEEP_MAP])
+                | st.floats(1.0 + 2e-6, 2.0).map(tent_map))
+    points = sorted({x for (p, s, c) in map_.branches for x in (p.lo, p.hi, s * p.lo + c, s * p.hi + c)})
+    f = draw(functions_through(points, map_.domain.lo, map_.domain.hi))
+    for _ in range(draw(st.integers(0, 2))):
+        f = frobenius_perron(map_, f)
+    return map_, f.breakpoints

@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ergclt
@@ -26,7 +26,7 @@ from ergclt.piecewise import PieceBudgetExceeded, integrate_product, pw_sum
 from ergclt.simulate import dyadic_block_norms
 from ergclt.transfer import DEAD_ITERATE_REL, NormalizedTransfer, frobenius_perron, koopman
 
-from strategies import affine_functions, maps_and_functions_through
+from strategies import STEEP_MAP, affine_functions, maps_and_functions_through, plan_cases
 
 FOUR_STEP = PAF.step([0.0, 0.25, 0.5, 0.75, 1.0], [1.0, -1.0, -2.0, 2.0])
 
@@ -406,10 +406,10 @@ def test_rebuilt_map_takes_no_stale_plan():
     assert_same_function(frobenius_perron(rebuilt, f), ref.frobenius_perron(tent_map(1.8), f))
 
 
-def _count_plans(monkeypatch):
+def _count_plans(monkeypatch, name="_branch_plan"):
     built = []
-    plan = transfer._branch_plan
-    monkeypatch.setattr(transfer, "_branch_plan", lambda map_, bp, push: built.append(1) or plan(map_, bp, push))
+    plan = getattr(transfer, name)
+    monkeypatch.setattr(transfer, name, lambda *args, **kwargs: built.append(1) or plan(*args, **kwargs))
     return built
 
 
@@ -448,6 +448,67 @@ def test_plan_store_stays_bounded():
         frobenius_perron(map_, f)
         assert len(map_.push_plans) <= transfer.PUSH_PLANS_KEPT
     assert f.breakpoints.tobytes() in map_.push_plans
+
+
+def test_per_branch_plan_runs_on_near_twins_only(monkeypatch):
+    """Breakpoints 3e-15 apart, which the merge joins, send the push and the
+    composition to the per-branch plan, with the reference's bits; the same
+    function without the twin takes the one-pass plan."""
+    built = _count_plans(monkeypatch, "_per_branch_plan")
+    map_ = tent_map(1.3)
+    plain = PAF([-1.0, -0.2, 0.4, 1.0], [1.0, -2.0, 0.5], [0.3, 1.0, -1.0])
+    twin = PAF([-1.0, -0.2, -0.2 + 3e-15, 0.4, 1.0], [1.0, 3.0, -2.0, 0.5], [0.3, -1.0, 1.0, -1.0])
+    assert_same_function(frobenius_perron(map_, plain), reference_frobenius_perron(map_, plain))
+    assert_same_function(koopman(map_, plain), ref.compose_branches(plain, map_).pruned())
+    assert built == []
+    assert_same_function(frobenius_perron(map_, twin), reference_frobenius_perron(map_, twin))
+    assert_same_function(koopman(map_, twin), ref.compose_branches(twin, map_).pruned())
+    assert len(built) == 2
+
+
+def assert_same_plan(got, expect):
+    """Plans with the same grid bytes, covered ranges, source cells and coefficients."""
+    assert got[0].tobytes() == expect[0].tobytes()
+    assert len(got[1]) == len(expect[1])
+    for (start, stop, src, *coeffs), (e_start, e_stop, e_src, *e_coeffs) in zip(got[1], expect[1]):
+        assert (start, stop, coeffs) == (e_start, e_stop, e_coeffs)
+        assert src.tobytes() == e_src.tobytes()
+
+
+@pytest.mark.parametrize("b", [0.9975, 0.998, 0.999])
+def test_steep_branch_needs_the_rounding_margin(b):
+    """Under STEEP_MAP's slope-256 branch, b's preimage x and a preimage
+    under the slope-2 branch 1.5e-14 below it bound an output cell.  Read at
+    that cell's midpoint, the steep branch rounds to b itself and takes f's
+    cell right of b; the branch's own grid reads the cell left of it.  With
+    only the merge tolerance as its gap the one-pass plan has the right grid
+    and ranges but that wrong cell; the table's gap sends the grid to the
+    per-branch plan, and the push keeps the reference's bits."""
+    table = transfer._branches(STEEP_MAP, True)
+    x = (b - table.intercept[2, 0]) / table.slope[2, 0]
+    bp = np.array([0.0, (x - 1.5e-14) / 2, b, 1.0])
+    grid, terms = transfer._per_branch_plan(table, bp)
+    tolerance_only = transfer._one_pass_plan(table._replace(gap=piecewise._BP_EPS), bp)
+    assert tolerance_only[0].tobytes() == grid.tobytes()
+    assert [t[:2] for t in tolerance_only[1]] == [t[:2] for t in terms]
+    assert tolerance_only[1][2][2].tobytes() != terms[2][2].tobytes()
+    assert transfer._one_pass_plan(table, bp) is None
+    f = PAF(bp, [1.0, -2.0, 3.0], [0.5, 1.0, -4.0])
+    assert_same_function(frobenius_perron(STEEP_MAP, f), reference_frobenius_perron(STEEP_MAP, f))
+
+
+@settings(max_examples=120)
+@given(plan_cases(), st.booleans())
+def test_property_one_pass_plan_matches_per_branch_plan(case, push):
+    """Wherever the one-pass plan runs (every output cell wider than the
+    table's gap), it has the per-branch plan's grid bytes, covered ranges,
+    source cells and coefficients; the steep branch of STEEP_MAP widens the
+    gap past the merge tolerance."""
+    map_, bp = case
+    table = transfer._branches(map_, push)
+    one = transfer._one_pass_plan(table, bp)
+    assume(one is not None)
+    assert_same_plan(one, transfer._per_branch_plan(table, bp))
 
 
 @given(maps_and_functions_through())
