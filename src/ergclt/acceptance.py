@@ -290,8 +290,8 @@ def crit_condition(seed: int = DEFAULT_SEED) -> CriterionResult:
     measured = {}
     ok = True
     ratios = []
-    for K in (64, 256, 1024):
-        rep = condition_report(sys2.observable, sys2.transfer, K=K)
+    tent2 = {K: condition_report(sys2.observable, sys2.transfer, K=K) for K in (64, 256, 1024)}
+    for K, rep in tent2.items():
         const_err = max(abs(v - norm_h2) for v in rep.V)
         ratios.append(rep.series_partial[-1] / rep.dyadic_partial[-1])
         ok = ok and const_err <= 1e-12
@@ -302,7 +302,7 @@ def crit_condition(seed: int = DEFAULT_SEED) -> CriterionResult:
 
     subadd_worst = -math.inf
     for rep in (
-        condition_report(sys2.observable, sys2.transfer, K=64),
+        tent2[64],
         condition_report(tb.observable, tb.transfer, K=64),
         condition_report(tent_system(1.5).observable, tent_system(1.5).transfer, K=24),
     ):

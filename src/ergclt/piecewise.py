@@ -89,6 +89,21 @@ def _cell_index(bp: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(idx, 0, out=idx), len(bp) - 2, out=idx)
 
 
+def _pruned(bp: np.ndarray, sl: np.ndarray | None, ic: np.ndarray):
+    """(bp, sl, ic) with adjacent cells merged where slopes and intercepts
+    agree within PRUNE_ABS, the same arrays if none do.  sl None stands for
+    all-zero slopes (a step's), which always agree."""
+    same = abs(ic[1:] - ic[:-1]) <= PRUNE_ABS
+    if sl is not None:
+        same &= abs(sl[1:] - sl[:-1]) <= PRUNE_ABS
+    if not np.count_nonzero(same):
+        return bp, sl, ic
+    keep = np.empty(len(bp), dtype=bool)  # the breakpoints kept; keep[:-1], the cells
+    keep[0] = keep[-1] = True
+    np.logical_not(same, out=keep[1:-1])
+    return bp[keep], None if sl is None else sl[keep[:-1]], ic[keep[:-1]]
+
+
 class PiecewiseAffineFunction:
     """A function that is affine on each cell of a breakpoint grid."""
 
@@ -142,7 +157,9 @@ class PiecewiseAffineFunction:
         return len(self.slopes)
 
     def is_step(self) -> bool:
-        return bool(np.all(np.abs(self.slopes) <= 1e-15))
+        """True if every slope is ±0.0.  A density that fails is rejected by
+        `reciprocal_step` and `NormalizedTransfer`, not read as a step."""
+        return not self.slopes.any()
 
     def cell_index(self, x: np.ndarray) -> np.ndarray:
         """Index of the cell containing each x (x must lie in the span)."""
@@ -227,15 +244,8 @@ class PiecewiseAffineFunction:
 
     def pruned(self) -> "PiecewiseAffineFunction":
         """Merge adjacent cells whose affine parameters agree within PRUNE_ABS."""
-        if self.num_pieces == 1:
-            return self
-        sl, ic = self.slopes, self.intercepts
-        same = (abs(sl[1:] - sl[:-1]) <= PRUNE_ABS) & (abs(ic[1:] - ic[:-1]) <= PRUNE_ABS)
-        if not same.any():
-            return self
-        keep = np.concatenate(([True], ~same))
-        bp = np.concatenate((self.breakpoints[:-1][keep], [self.breakpoints[-1]]))
-        return PiecewiseAffineFunction(bp, sl[keep], ic[keep], validate=False)
+        bp, sl, ic = _pruned(self.breakpoints, self.slopes, self.intercepts)
+        return self if bp is self.breakpoints else PiecewiseAffineFunction(bp, sl, ic, validate=False)
 
     # ------------------------------------------------------------------
     # integration

@@ -21,7 +21,10 @@ Only where two distinct output points come within the merge tolerance is
 the plan built branch by branch, which that merge needs for its bits.
 Iterates soon repeat their grids, so each map keeps the push plans of the
 last PUSH_PLANS_KEPT grids, keyed by the exact bytes of the breakpoints; a
-push of a grid seen before does only the arithmetic.
+push of a grid seen before does only the arithmetic.  A step (every slope
+±0.0) has no slope arithmetic: `iterates` carries a step start as its grid
+and intercepts, and the apply and the prune leave the slope half out, with
+the bits that all-zero slopes give.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .maps import PiecewiseLinearMap
-from .piecewise import (_BP_EPS, PiecewiseAffineFunction, _cell_index, _check_budget, _dedupe_breakpoints,
-                        _sorted_union)
+from .piecewise import (_BP_EPS, PiecewiseAffineFunction, _cell_index, _check_budget, _dedupe_breakpoints, _dot,
+                        _pruned, _sorted_union)
 
 # An iterate whose L1 norm is at most this fraction of its start's is dead:
 # it and every later iterate count as zero.
@@ -60,15 +63,21 @@ def frobenius_perron(map_: PiecewiseLinearMap, f: PiecewiseAffineFunction) -> Pi
     span): each adds +0.0 to a sum that starts at +0.0, which is never -0.0,
     so no bit moves.
     """
+    return PiecewiseAffineFunction(*_push(map_, f.breakpoints, f.slopes, f.intercepts), validate=False)
+
+
+def _push(map_: PiecewiseLinearMap, bp: np.ndarray, sl: np.ndarray | None, ic: np.ndarray):
+    """`frobenius_perron` of the function on grid bp with slopes sl (None for
+    a step's) and intercepts ic, as (grid, slopes, intercepts)."""
     plans = map_.push_plans
-    key = f.breakpoints.tobytes()
+    key = bp.tobytes()
     plan = plans.get(key)
     if plan is None:
-        plan = _branch_plan(map_, f.breakpoints, push=True)
+        plan = _branch_plan(map_, bp, push=True)
         if len(plans) >= PUSH_PLANS_KEPT:
             del plans[next(iter(plans))]
         plans[key] = plan
-    return _apply(plan, f, add=True)
+    return _apply(plan, sl, ic, add=True)
 
 
 def koopman(map_: PiecewiseLinearMap, f: PiecewiseAffineFunction) -> PiecewiseAffineFunction:
@@ -78,7 +87,8 @@ def koopman(map_: PiecewiseLinearMap, f: PiecewiseAffineFunction) -> PiecewiseAf
     adding it into zeros.  Placing keeps the sign of a zero: slope 0.0 times
     a decreasing branch's slope is -0.0, which adding to +0.0 makes +0.0.
     """
-    return _apply(_branch_plan(map_, f.breakpoints, push=False), f, add=False)
+    plan = _branch_plan(map_, f.breakpoints, push=False)
+    return PiecewiseAffineFunction(*_apply(plan, f.slopes, f.intercepts, add=False), validate=False)
 
 
 class _Branches(NamedTuple):
@@ -237,23 +247,27 @@ def _preimage_cells(bp: np.ndarray, slope: float, intercept: float, lo: float, h
     return grid, idx, outside
 
 
-def _apply(plan, f: PiecewiseAffineFunction, add: bool) -> PiecewiseAffineFunction:
+def _apply(plan, slopes: np.ndarray | None, intercepts: np.ndarray, add: bool):
     """Per term, (s0*slope)*k and (s0*intercept + c0)*k for the input
-    cells' (s0, c0), added into zeros or placed; the result pruned."""
+    cells' (s0, c0), added into zeros or placed; the result pruned, as
+    (grid, slopes, intercepts).  A step's slopes None give only c0*k, and
+    added into zeros these are the bits of all-zero slopes: each slope term
+    and s0*intercept is ±0.0, c0 + ±0.0 = c0 for c0 != 0, and +0.0 + ±0.0 = +0.0."""
     grid, terms = plan
-    sl = np.zeros(len(grid) - 1)
+    sl = None if slopes is None else np.zeros(len(grid) - 1)
     ic = np.zeros(len(grid) - 1)
     for (start, stop, src, slope, intercept, k) in terms:
-        s0 = f.slopes.take(src)
-        part_sl = (s0 * slope) * k
-        part_ic = (s0 * intercept + f.intercepts.take(src)) * k
-        if add:
-            sl[start:stop] += part_sl
-            ic[start:stop] += part_ic
-        else:
-            sl[start:stop] = part_sl
-            ic[start:stop] = part_ic
-    return PiecewiseAffineFunction(grid, sl, ic, validate=False).pruned()
+        parts = [(ic, intercepts.take(src))]
+        if slopes is not None:
+            s0 = slopes.take(src)
+            parts = [(sl, s0 * slope), (ic, s0 * intercept + parts[0][1])]
+        for (out, part) in parts:
+            if add:
+                view = out[start:stop]  # `out[start:stop] += ...` would copy the sum back onto itself
+                view += part * k
+            else:
+                out[start:stop] = part * k
+    return _pruned(grid, sl, ic)
 
 
 class NormalizedTransfer:
@@ -279,8 +293,12 @@ class NormalizedTransfer:
         """f*g, the Lebesgue-side representative of f."""
         return f.scale_by_step(self.gstar).pruned()
 
-    def push(self, v: PiecewiseAffineFunction) -> PiecewiseAffineFunction:
-        """One reference-measure transfer step of a weighted representative."""
+    def push(self, v):
+        """One reference-measure transfer step of a weighted representative:
+        a function, or the (grid, slopes, intercepts) that `iterates` carries
+        (slopes None for a step), each pushed to the same form."""
+        if isinstance(v, tuple):
+            return _push(self.map, *v)
         return frobenius_perron(self.map, v)
 
     def iterates(self, v: PiecewiseAffineFunction, step: int = 1):
@@ -292,13 +310,23 @@ class NormalizedTransfer:
         ends before the first dead iterate, one whose L1 norm is at most
         DEAD_ITERATE_REL times the start's; callers read every later term as
         zero.  The sequence is otherwise unbounded: take as many as needed.
+
+        A start with no slope (every slope ±0.0) is pushed and pruned as its
+        intercepts only, its L1 norm is `_dot(widths, |intercepts|)` where
+        `norm_l1` takes that product, and its iterates get np.zeros slopes.
         """
         dead = DEAD_ITERATE_REL * v.norm_l1()
+        form = (v.breakpoints, v.slopes if v.slopes.any() else None, v.intercepts)
         while True:
             for _ in range(step):
-                v = self.push(v)
-            v = v.pruned()
-            l1 = v.norm_l1()
+                form = self.push(form)
+            bp, sl, ic = form = _pruned(*form)
+            v = PiecewiseAffineFunction(bp, np.zeros(len(ic)) if sl is None else sl, ic, validate=False)
+            w = bp[1:] - bp[:-1]
+            if sl is None and w.min() > _BP_EPS * max(1.0, abs(bp[0]), abs(bp[-1])):
+                l1 = _dot(w, abs(ic))
+            else:
+                l1 = v.norm_l1()
             if l1 <= dead:
                 return
             yield v, l1

@@ -585,6 +585,69 @@ def test_property_iterates_match_plain_loop_three_branch(values, centered, step)
         assert live < 8
 
 
+def _count_applies(monkeypatch):
+    """A list that gets, per `_apply`, whether it was given slopes."""
+    with_slopes = []
+    apply = transfer._apply
+    monkeypatch.setattr(transfer, "_apply", lambda plan, slopes, *args, **kwargs:
+                        with_slopes.append(slopes is not None) or apply(plan, slopes, *args, **kwargs))
+    return with_slopes
+
+
+@pytest.mark.parametrize("step", [1, 2])
+def test_step_iterates_skip_the_slope_arithmetic(monkeypatch, step):
+    """A centered step on tent 1.3 is pushed as a step for 64 lags: no
+    push is given slopes, and the iterates keep the plain loop's bits."""
+    g = tent_density(1.3)
+    f = random_step(np.random.default_rng(3))
+    nt = NormalizedTransfer(tent_map(1.3), g)
+    v = nt.weighted(f - PAF.constant(-1.0, 1.0, integrate_product([f, g])))
+    with_slopes = _count_applies(monkeypatch)
+    assert assert_iterates_match_plain_loop(nt, v, step, max_lag=64) == 64
+    assert len(with_slopes) == 64 * step and not any(with_slopes)
+
+
+@pytest.mark.parametrize("step", [1, 2])
+def test_step_iterates_of_negative_zero_slopes(monkeypatch, step):
+    """`koopman` of a step under the decreasing tent branch has slopes -0.0;
+    such a start is still a step, with the plain loop's bits."""
+    map_ = tent_map(1.3)
+    nt = NormalizedTransfer(map_, tent_density(1.3))
+    v = nt.weighted(koopman(map_, PAF.step([-1.0, -0.5, 0.1, 0.6, 1.0], [1.0, -2.0, 0.5, 3.0])))
+    assert np.signbit(v.slopes).any()
+    with_slopes = _count_applies(monkeypatch)
+    assert assert_iterates_match_plain_loop(nt, v, step) == 8
+    assert with_slopes and not any(with_slopes)
+
+
+@pytest.mark.parametrize("step", [1, 2])
+def test_step_iterates_of_a_near_twin_grid(monkeypatch, step):
+    """Breakpoints 3e-15 apart (the near twins of `strategies.breakpoints`)
+    fail `norm_l1`'s width check, so the start's norm takes the
+    `integrate_product` branch; the step iterates keep the plain loop's bits."""
+    nt = NormalizedTransfer(tent_map(1.3), tent_density(1.3))
+    with_slopes = _count_applies(monkeypatch)
+    integrals = []
+    integrate = piecewise.integrate_product
+    monkeypatch.setattr(piecewise, "integrate_product", lambda *args: integrals.append(1) or integrate(*args))
+    v = PAF.step([-1.0, -0.2, -0.2 + 3e-15, 0.4, 1.0], [0.3, -1.0, 1.0, -1.0])
+    v.norm_l1()
+    assert integrals
+    assert assert_iterates_match_plain_loop(nt, v, step) == 8
+    assert with_slopes and not any(with_slopes)
+
+
+def test_density_with_a_slope_is_not_a_step():
+    """A slope of 1e-16 makes a density affine: the transfer and the
+    reciprocal reject it instead of dropping the slope."""
+    g = PAF([-1.0, 0.0, 1.0], [0.0, 1e-16], [0.5, 0.5])
+    assert not g.is_step()
+    with pytest.raises(ValueError, match="step function"):
+        NormalizedTransfer(tent_map(1.3), g)
+    with pytest.raises(ValueError, match="step function"):
+        g.reciprocal_step()
+
+
 def assert_partial_sums_match_replaced_code(nt, h, q):
     """`dyadic_block_norms` at q and `condition_report` at K = 8, 24 and 64
     keep the bits of their own passes in `tests/references.py`."""
