@@ -5,9 +5,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 from .maps import (
     Interval,
@@ -86,6 +89,8 @@ class UlamOperator:
 def ulam_matrix(map_: PiecewiseLinearMap, n: int) -> UlamOperator:
     """Exact Ulam matrix: branch preimages are intervals, so every entry is an
     interval-length ratio computed in closed form."""
+    import scipy.sparse as sp  # here, so that `import ergclt` loads no scipy
+
     if n < 2:
         raise ValueError("need at least two cells")
     lo, hi = map_.domain.lo, map_.domain.hi

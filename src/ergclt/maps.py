@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -241,6 +242,7 @@ def _tent_core_interval(a: float) -> Interval:
 TENT_DEEPEST_WINDOW = 8
 
 
+@lru_cache(maxsize=64)
 def tent_support_cycle(a: float) -> SupportCycle:
     """Construct the support cycle from the binary-indexed inverse conjugacies.
 

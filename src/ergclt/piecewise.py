@@ -157,8 +157,9 @@ class PiecewiseAffineFunction:
         return len(self.slopes)
 
     def is_step(self) -> bool:
-        """True if every slope is ±0.0.  A density that fails is rejected by
-        `reciprocal_step` and `NormalizedTransfer`, not read as a step."""
+        """True if every slope is ±0.0.  A function that fails is rejected by
+        `scale_by_step`, `reciprocal_step` and `NormalizedTransfer`, not read
+        as a step."""
         return not self.slopes.any()
 
     def cell_index(self, x: np.ndarray) -> np.ndarray:
@@ -215,10 +216,12 @@ class PiecewiseAffineFunction:
 
     def scale_by_step(self, weight: "PiecewiseAffineFunction") -> "PiecewiseAffineFunction":
         """Exact product with a step function (result stays piecewise affine)."""
+        if not weight.is_step():
+            raise ValueError("scale_by_step requires a step function")
         grid = merge_grids([self, weight])
         mids = 0.5 * (grid[:-1] + grid[1:])
         sl, ic = self._coeffs_on(mids)
-        w = weight._coeffs_on(mids)[1]  # slopes are zero for a step function
+        w = weight._coeffs_on(mids)[1]
         return PiecewiseAffineFunction(grid, sl * w, ic * w, validate=False)
 
     def reciprocal_step(self) -> "PiecewiseAffineFunction":

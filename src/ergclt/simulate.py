@@ -36,11 +36,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import ndtr
 
 from .clt import Observable, VarianceProfile, dyadic_sum, partial_sum_norms
 from .maps import PiecewiseLinearMap, cut_index
-from .piecewise import PiecewiseAffineFunction
+from .piecewise import PiecewiseAffineFunction, _sorted_union
 from .transfer import NormalizedTransfer, koopman
 
 _TWO64 = 1 << 64
@@ -150,7 +149,7 @@ def _bit_cells(p: dict, f: PiecewiseAffineFunction):
     them: the branch offset, the branch sign as a word mask (all ones on a
     slope -2 branch) and f's slope and intercept there."""
     f_cuts = _word_cuts(f.breakpoints[1:-1], p["lo"], p["width"])
-    cuts = np.union1d(p["thresholds"], f_cuts)
+    cuts = _sorted_union([p["thresholds"], f_cuts])
     lowest = np.concatenate((np.zeros(1, dtype=np.uint64), cuts))  # each cell's lowest word
     branch = cut_index(p["thresholds"], lowest)
     piece = cut_index(f_cuts, lowest)
@@ -319,6 +318,8 @@ def ks_statistic(samples, cdf, target: dict | None = None, t: float = 1.0) -> Go
 def mixture_normal_cdf(components, t: float, x):
     """CDF of a scale mixture of centered normals at time t:
     sum of w_i * Phi(x / sqrt(v_i * t))."""
+    from scipy.special import ndtr  # here, so that `import ergclt` loads no scipy
+
     if t <= 0:
         raise ValueError("need t > 0")
     comps = [(float(w), float(v)) for (w, v) in components]

@@ -133,7 +133,7 @@ def _branches(map_: PiecewiseLinearMap, push: bool) -> _Branches:
         ends += [row[0], row[1], *pads]
         right.append(hi in pads)
     cols = np.array(rows).T[:4, :, None]
-    ends = np.unique(ends)
+    ends = _sorted_union([ends])
     # `_branch_plan`'s margin, in units of the grids' scale: the rounding it
     # must outweigh is below 2u(4 + 1/|slope|) for unit roundoff u = 2^-53,
     # bounded here by 2^-50 (1 + 1/|slope|), which passes _BP_EPS only for
@@ -312,8 +312,12 @@ class NormalizedTransfer:
         zero.  The sequence is otherwise unbounded: take as many as needed.
 
         A start with no slope (every slope ±0.0) is pushed and pruned as its
-        intercepts only, its L1 norm is `_dot(widths, |intercepts|)` where
-        `norm_l1` takes that product, and its iterates get np.zeros slopes.
+        intercepts only, its L1 norm is `_dot(widths, |intercepts|)`, and its
+        iterates get np.zeros slopes.  That product is `norm_l1`'s, whose
+        width check every pushed and pruned grid passes: a one-pass plan's
+        cells are wider than the table's gap, at least `_BP_EPS` times the
+        grid's scale; `_dedupe_breakpoints` keeps only such cells; and a
+        prune keeps both ends and only widens cells.
         """
         dead = DEAD_ITERATE_REL * v.norm_l1()
         form = (v.breakpoints, v.slopes if v.slopes.any() else None, v.intercepts)
@@ -322,11 +326,7 @@ class NormalizedTransfer:
                 form = self.push(form)
             bp, sl, ic = form = _pruned(*form)
             v = PiecewiseAffineFunction(bp, np.zeros(len(ic)) if sl is None else sl, ic, validate=False)
-            w = bp[1:] - bp[:-1]
-            if sl is None and w.min() > _BP_EPS * max(1.0, abs(bp[0]), abs(bp[-1])):
-                l1 = _dot(w, abs(ic))
-            else:
-                l1 = v.norm_l1()
+            l1 = _dot(bp[1:] - bp[:-1], abs(ic)) if sl is None else v.norm_l1()
             if l1 <= dead:
                 return
             yield v, l1

@@ -4,8 +4,11 @@ import hashlib
 import json
 import math
 import os
+import pathlib
 import re
 import stat
+import subprocess
+import sys
 import time
 
 import pytest
@@ -465,3 +468,40 @@ def test_output_bytes_pinned(run, tmp_path, monkeypatch):
     assert main(argv + ["--out", "run"]) == 0
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in digests}
     assert got == digests
+
+
+# Runs `main` of each command line in argv[1] (a JSON list) in this fresh
+# interpreter after `import ergclt`; prints the exit codes and every scipy
+# module and numpy.ma that is loaded at the end.
+COLD_START_PROBE = """
+import json, sys
+import ergclt
+import ergclt.cli
+codes = [ergclt.cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m == "numpy.ma")]))
+"""
+
+
+def cold_start(tmp_path, *argvs):
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    argvs = [argv + ["--out", f"run{i}"] for (i, argv) in enumerate(argvs)]
+    run = subprocess.run([sys.executable, "-c", COLD_START_PROBE, json.dumps(argvs)], env=env, cwd=tmp_path,
+                         capture_output=True, text=True, check=True)
+    return json.loads(run.stdout.splitlines()[-1])
+
+
+def test_variance_loads_no_scipy(tmp_path):
+    """`import ergclt` and the `variance` command build no Ulam chain and
+    run no KS test, so neither scipy nor numpy.ma is loaded."""
+    codes, loaded = cold_start(tmp_path, ["variance", "--map", "tent", "--a", "1.8"],
+                               ["variance", "--map", "three-branch"])
+    assert codes == [0, 0]
+    assert loaded == []
+
+
+def test_density_loads_scipy_sparse(tmp_path):
+    """The Ulam chain of `density` loads scipy.sparse on its first use."""
+    codes, loaded = cold_start(tmp_path, ["density", "--map", "tent", "--a", "1.5", "--grid", "1024"])
+    assert codes == [0]
+    assert "scipy.sparse" in loaded

@@ -122,6 +122,12 @@ def test_scale_and_divide_by_step():
     np.testing.assert_allclose(q(x), f(x), atol=1e-12)
 
 
+def test_scale_by_step_rejects_a_weight_with_a_slope():
+    """An affine weight's slope is not dropped: x * 1 is not the zero function."""
+    with pytest.raises(ValueError, match="scale_by_step requires a step function"):
+        PAF.constant(0.0, 1.0, 1.0).scale_by_step(PAF.affine(0.0, 1.0, 1.0, 0.0))
+
+
 def test_divide_by_step_masks_below_floor():
     f = PAF.constant(0.0, 1.0, 3.0)
     w = PAF.step([0.0, 0.5, 1.0], [1.0, 0.0])

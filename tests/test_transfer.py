@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import ergclt
@@ -635,6 +635,23 @@ def test_step_iterates_of_a_near_twin_grid(monkeypatch, step):
     assert integrals
     assert assert_iterates_match_plain_loop(nt, v, step) == 8
     assert with_slopes and not any(with_slopes)
+
+
+@settings(max_examples=120)
+@example((tent_map(1.3), np.array([-1.0, -0.2, -0.2 + 3e-15, 0.4, 1.0])), [0.3, 0.3, -1.0, 1.0], True)
+@given(plan_cases(), st.lists(st.sampled_from([0.0, 0.3, -1.0]) | st.floats(-5.0, 5.0), min_size=64, max_size=64),
+       st.booleans())
+def test_property_pushed_and_pruned_grids_pass_the_width_check(case, values, step):
+    """Every grid that a push and a prune leave has cells wider than
+    `_BP_EPS` times its scale, also from grids with near twins, which the
+    per-branch plan merges.  `NormalizedTransfer.iterates` reads a step
+    iterate's L1 norm as `norm_l1` does past this check, without making it."""
+    map_, bp = case
+    n = len(bp) - 1
+    ic = np.resize(np.array(values), n)
+    sl = None if step else np.resize(np.array(values[::-1]), n)
+    grid, _, _ = piecewise._pruned(*transfer._push(map_, bp, sl, ic))
+    assert (grid[1:] - grid[:-1]).min() > piecewise._BP_EPS * max(1.0, abs(grid[0]), abs(grid[-1]))
 
 
 def test_density_with_a_slope_is_not_a_step():
