@@ -28,7 +28,6 @@ from .densities import (
     detect_periodicity,
     invariant_density,
     tent_density,
-    tent_ulam_density,
     ulam_matrix,
 )
 from .maps import (

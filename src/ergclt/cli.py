@@ -95,6 +95,8 @@ class RunConfig:
             raise ValueError("steps must lie in [1, 2^22]")
         if not 2 <= self.paths <= 10**6:
             raise ValueError("paths must lie in [2, 10^6]")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError("seed must lie in [0, 2^64)")
         if not 0 <= self.truncation_J <= 2**16:
             raise ValueError("truncation must lie in [0, 65536]")
         if not 0 <= self.dyadic_levels <= 16:

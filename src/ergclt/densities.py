@@ -16,7 +16,6 @@ from .maps import (
     Interval,
     PiecewiseLinearMap,
     _check_tent_param,
-    _tent_core_interval,
     tent_map,
     tent_support_cycle,
 )
@@ -232,24 +231,6 @@ def _support_cycle_length(supports) -> int | None:
         if all(supports[k] == supports[k + r] for k in range(n - r)):
             return r
     return None
-
-
-@lru_cache(maxsize=64)
-def tent_ulam_density(a: float, grid_n: int = 4096) -> PiecewiseAffineFunction:
-    """Ulam invariant density of the tent map, windowed to the invariant core.
-
-    The true density vanishes outside [T_a^2(0), T_a(0)]; boundary cells of
-    the discrete chain can hold a little stray mass, which is clipped and the
-    density renormalized.
-    """
-    op = ulam_matrix(tent_map(a), grid_n)
-    fn = invariant_density(op)
-    core = _tent_core_interval(a)
-    if core.lo > -1.0 + 1e-12 or core.hi < 1.0 - 1e-12:
-        fn = fn.windowed_union([(core.lo, core.hi)])
-        mass = fn.integral()
-        fn = fn * (1.0 / mass)
-    return fn.pruned()
 
 
 # The critical orbit runs in fixed point with this many fractional bits, so

@@ -10,6 +10,9 @@ package to their bytes:
 - the conjugacy assembly that built the tent density at a <= sqrt(2) from
   the density at a^2, one level per squaring, before the density had a
   closed form.  It is now an identity the closed form must satisfy;
+- the tent density from a 4096-cell Ulam chain, windowed to the invariant
+  core, which the mean-recursion criterion integrated against before it
+  used the closed form;
 - the Ulam push as a row vector times the row-stochastic matrix, and the
   Cesaro power iteration that kept its last 64 iterates in a deque and
   averaged each window with `np.mean` over the stacked iterates;
@@ -40,10 +43,11 @@ from collections import deque
 import numpy as np
 from scipy.special import ndtr
 
+from ergclt import densities
 from ergclt.clt import (VarianceProfile, _clamp_sigma2, _component_mass, _fit_slope, _geometric_tail,
                         autocovariance_sequence, blocked_observable)
 from ergclt.densities import _CESARO_WINDOWS, _POWER_MAX_ITER, ConvergenceError, UlamOperator
-from ergclt.maps import Interval, tent_conjugacy, tent_fixed_point
+from ergclt.maps import Interval, _tent_core_interval, tent_conjugacy, tent_fixed_point, tent_map
 from ergclt.piecewise import (_BP_EPS, MEASURE_TOL, PiecewiseAffineFunction, _cells_covered, _dedupe_breakpoints,
                               integrate_product, pw_sum)
 from ergclt.simulate import (_STREAM_BITS, _TWO64, GofReport, _dyadic_engine_params, _rng, ks_statistic,
@@ -238,6 +242,22 @@ def tent_density_from_square(a, g_sq):
     sl = np.concatenate((central.slopes, right.slopes))
     ic = np.concatenate((central.intercepts, right.intercepts))
     return embed(PiecewiseAffineFunction(bp, sl, ic), -1.0, 1.0).pruned()
+
+
+def tent_ulam_density(a, grid_n=4096):
+    """Ulam invariant density of the tent map, windowed to the invariant core.
+
+    The true density vanishes outside [T_a^2(0), T_a(0)]; boundary cells of
+    the discrete chain can hold a little stray mass, which is clipped and the
+    density renormalized.
+    """
+    fn = densities.invariant_density(densities.ulam_matrix(tent_map(a), grid_n))
+    core = _tent_core_interval(a)
+    if core.lo > -1.0 + 1e-12 or core.hi < 1.0 - 1e-12:
+        fn = fn.windowed_union([(core.lo, core.hi)])
+        mass = fn.integral()
+        fn = fn * (1.0 / mass)
+    return fn.pruned()
 
 
 class RowPushUlam(UlamOperator):

@@ -126,6 +126,18 @@ def test_simulate_one_path_is_rejected_before_any_work(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("command", [["verify"], ["simulate", "--map", "three-branch"]])
+def test_seed_outside_64_bits_is_rejected_before_any_work(command, seed, tmp_path, capsys):
+    """A seed keys numpy generators, which take [0, 2^64): one outside is a
+    usage error found up front, before any criterion line or output file."""
+    assert main(command + ["--seed", str(seed), "--out", str(tmp_path / "o")]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "seed must lie in [0, 2^64)" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_deep_window_density_exits_3(tmp_path, capsys):
     """A tent density that float64 cannot resolve is a numerical failure,
     found before any series runs."""
@@ -497,6 +509,14 @@ def test_variance_loads_no_scipy(tmp_path):
     codes, loaded = cold_start(tmp_path, ["variance", "--map", "tent", "--a", "1.8"],
                                ["variance", "--map", "three-branch"])
     assert codes == [0, 0]
+    assert loaded == []
+
+
+def test_mean_recursion_loads_no_scipy(tmp_path):
+    """The mean-recursion criterion integrates against the closed-form tent
+    density: it builds no Ulam chain, so no scipy module is loaded."""
+    codes, loaded = cold_start(tmp_path, ["verify", "--only", "mean_recursion"])
+    assert codes == [0]
     assert loaded == []
 
 

@@ -28,7 +28,6 @@ from ergclt.clt import (
     variance_profile_dyadic,
     VarianceEstimate,
 )
-from ergclt.densities import tent_ulam_density
 from ergclt.maps import (
     SupportCycle,
     squared_param,
@@ -80,7 +79,7 @@ def test_mean_at_sqrt2_closed_form():
 @pytest.mark.parametrize("a", [1.2, 1.3, 1.4])
 def test_mean_recursion_vs_direct_quadrature(a):
     coord = PAF.affine(-1, 1, 1, 0)
-    direct = integrate_product([coord, tent_ulam_density(a, 4096)])
+    direct = integrate_product([coord, ref.tent_ulam_density(a, 4096)])
     assert tent_mean(a) == pytest.approx(direct, abs=1e-3)
 
 
