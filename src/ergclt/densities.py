@@ -51,8 +51,12 @@ class UlamOperator:
     push is built once as `pushes`, the transpose stored by target cell, so
     that each step is one CSR matvec: it sums every target cell over its
     source cells in ascending order, as `d @ rows` does, and gives the same
-    bits without a transpose and a scatter per step.  Rows whose sums miss 1
-    by more than ROW_SUM_ULPS * grid_n * 2^-52 raise ValueError.
+    bits without a transpose and a scatter per step.  `invariant_density`
+    calls `apply_to_masses` only where any cell may hold mass (its first
+    push and its residual checks); its other steps, and every step of
+    `detect_periodicity`, multiply by the block of `pushes` on the cells
+    that can (`_sub_chain`), with the same bits.  Rows whose sums miss 1 by
+    more than ROW_SUM_ULPS * grid_n * 2^-52 raise ValueError.
     """
 
     grid_n: int
@@ -158,24 +162,36 @@ def invariant_density(op: UlamOperator, *, tol: float = 1e-10, return_info: bool
     iterates of a block oldest first and is divided by w at the check: the
     same sum, in the same order, as a mean over the stacked iterates, held
     in seven vectors instead of 64.
+
+    Only the first push runs over every cell.  From then on each iterate is
+    0.0 off the image cells (the rows of `op.pushes` that hold an entry,
+    which every cell maps into), so the iteration and the window sums run on
+    the sub-chain of the image cells: it drops only +0.0 terms, and every
+    kept sum has the bits of the full product.  The sums, the residual and the density are formed on
+    full-length vectors, since numpy's pairwise sum groups elements by
+    position and a compacted vector would round differently.
     """
     n = op.grid_n
+    image = np.flatnonzero(np.diff(op.pushes.indptr))
+    chain = _sub_chain(op.pushes, image)
     d = np.full(n, 1.0 / n)
-    sums = [np.zeros(n) for _ in _CESARO_WINDOWS]
+    sums = [np.zeros(len(image)) for _ in _CESARO_WINDOWS]
     best_res = math.inf
     best = d
     check_every = max(_CESARO_WINDOWS)
     steps = 0
     while steps < _POWER_MAX_ITER:
         for left in range(check_every, 0, -1):  # iterates left in the block, this one included
-            d = op.apply_to_masses(d)
+            d = chain @ d if steps else op.apply_to_masses(d)[image]
             steps += 1
             for wdw, acc in zip(_CESARO_WINDOWS, sums):
                 if left <= wdw:
                     acc += d
         for wdw, acc in zip(_CESARO_WINDOWS, sums):
             acc /= wdw
-            avg = acc / acc.sum()
+            avg = np.zeros(n)
+            avg[image] = acc
+            avg /= avg.sum()
             acc.fill(0.0)
             res = float(np.abs(op.apply_to_masses(avg) - avg).sum())
             if res < best_res:
@@ -197,25 +213,36 @@ def invariant_density(op: UlamOperator, *, tol: float = 1e-10, return_info: bool
 def detect_periodicity(op: UlamOperator, density: PiecewiseAffineFunction) -> int:
     """Cycle length of the support of iterated densities.
 
-    Seeds a unit mass in the cell where `density`, an invariant density of
-    `op`, is largest (a cell interior to one cyclic component), iterates, and
-    finds the smallest r with support(n + r) == support(n) over a trailing
-    window of stabilized iterates, where the support is the set of cells with
-    mass > _SUPPORT_EPS.
+    Seeds a unit mass in the cell of `op` that holds the midpoint of the
+    largest piece of `density`, an invariant step density of the map on any
+    grid (a cell interior to one cyclic component), iterates, and finds
+    the smallest r with support(n + r) == support(n) over a trailing window
+    of stabilized iterates, where the support is the set of cells with mass
+    > _SUPPORT_EPS.
+
+    The mass never leaves the cells reachable from the seed along the
+    chain's entries, a closed set, so every other cell holds 0.0 at every
+    step.  The pushes run on the sub-chain of the reachable cells: it drops
+    only +0.0 terms, so each kept sum, and each support, has the bits of the
+    full product.
     """
-    seed = int(np.argmax(density.intercepts))
-    d = np.zeros(op.grid_n)
-    d[seed] = 1.0
+    top = int(np.argmax(density.intercepts))
+    mid = 0.5 * (density.breakpoints[top] + density.breakpoints[top + 1])
+    seed = int(np.clip(np.searchsorted(op.edges, mid, side="right") - 1, 0, op.grid_n - 1))
+    cells = _reachable(op.rows, seed)
+    chain = _sub_chain(op.pushes, cells)
+    d = np.zeros(len(cells))
+    d[np.searchsorted(cells, seed)] = 1.0
     burn = 512
     steps = 0
     while steps < _DETECT_MAX_ITER:
         target = min(burn, _DETECT_MAX_ITER - steps - _DETECT_WINDOW)
         for _ in range(max(target, 0)):
-            d = op.apply_to_masses(d)
+            d = chain @ d
             steps += 1
         supports = []
         for _ in range(_DETECT_WINDOW):
-            d = op.apply_to_masses(d)
+            d = chain @ d
             steps += 1
             supports.append(np.packbits(d > _SUPPORT_EPS).tobytes())
         r = _support_cycle_length(supports)
@@ -223,6 +250,51 @@ def detect_periodicity(op: UlamOperator, density: PiecewiseAffineFunction) -> in
             return r
         burn *= 2
     raise DetectionError(f"no support cycle within {_DETECT_MAX_ITER} iterations")
+
+
+def _row_entries(m, rows: np.ndarray):
+    """Positions in the CSR arrays of m of the entries of `rows`, row by row
+    in storage order, and the offset of each row's run among them, with
+    their total count last."""
+    starts = m.indptr[rows]
+    counts = m.indptr[rows + 1] - starts
+    bounds = np.zeros(len(rows) + 1, dtype=np.intp)
+    np.cumsum(counts, out=bounds[1:])
+    return np.arange(bounds[-1]) + np.repeat(starts - bounds[:-1], counts), bounds
+
+
+def _reachable(m, seed: int) -> np.ndarray:
+    """The sorted cells reachable from `seed` along the stored entries of m
+    (row i to column j), by breadth-first search: every entry of a row in
+    the result points inside it."""
+    seen = np.zeros(m.shape[0], dtype=bool)
+    seen[seed] = True
+    frontier = np.array([seed])
+    while len(frontier):
+        new = m.indices[_row_entries(m, frontier)[0]]
+        new = np.unique(new[~seen[new]])
+        seen[new] = True
+        frontier = new
+    return np.flatnonzero(seen)
+
+
+def _sub_chain(m, cells: np.ndarray):
+    """The block of the CSR matrix m on the sorted `cells`, built in one pass
+    over its arrays: each row keeps its entries in the cells in storage
+    order, so a product sums them in the order the full product does.  On
+    every cell it is m itself."""
+    import scipy.sparse as sp
+
+    if len(cells) == m.shape[0]:
+        return m
+    at, bounds = _row_entries(m, cells)
+    pos = np.full(m.shape[1], -1, dtype=m.indices.dtype)
+    pos[cells] = np.arange(len(cells))
+    col = pos[m.indices[at]]
+    keep = col >= 0
+    kept = np.zeros(len(at) + 1, dtype=m.indptr.dtype)
+    np.cumsum(keep, out=kept[1:])
+    return sp.csr_matrix((m.data[at[keep]], col[keep], kept[bounds]), shape=(len(cells), len(cells)))
 
 
 def _support_cycle_length(supports) -> int | None:

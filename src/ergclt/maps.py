@@ -2,8 +2,9 @@
 
 Branch selection uses half-open pieces ``[lo, hi)`` with the final piece
 closed; the maps in scope are continuous so the convention only fixes
-behaviour on a null set.  Branches and observable pieces are found with
-`cut_index`, which counts the cuts at or below a point.
+behaviour on a null set.  Branches, and the observable pieces of the float
+orbit engine, are found with `cut_index`, which counts the cuts at or below a
+point.
 """
 
 from __future__ import annotations
@@ -23,7 +24,11 @@ def cut_index(cuts, v: np.ndarray) -> np.ndarray:
     inner breakpoints.  It takes one vectorized comparison and one add per
     cut, O(len(cuts)) per entry and no binary search; the maps and the
     observables that orbits run have at most about ten cuts.  v and cuts
-    are floats or 64-bit words alike; NaN counts no cut."""
+    are floats or 64-bit words alike; NaN counts no cut.  Per path-step only
+    the float orbit engine calls it (through `PiecewiseLinearMap.step` too);
+    the bit engine counts its word cuts once per cell when it builds its
+    tables, and per step reads the same counts from a bucket table
+    (`simulate._word_cells`)."""
     count = np.zeros(v.shape, dtype=np.min_scalar_type(len(cuts)))
     at_or_above = np.empty(v.shape, dtype=bool)
     for c in cuts:

@@ -18,12 +18,15 @@ fresh tail bits from the path's generator, which reproduces the law of exact
 orbits from stationary initial points.
 
 Both engines yield observable values, not points, and each path-step does one
-piece lookup by direct comparisons (`maps.cut_index`, O(cuts) per path-step,
-no binary search).  The bit engine merges the branch thresholds and the
-observable's breakpoints, each moved to the first 64-bit word whose point
-reaches it, into one sorted table of word cuts; the count of cuts at or below
-the word is the cell, and the cell's row holds the branch offset and sign and
-the observable's slope and intercept.  A step observable is read off the word
+piece lookup without a binary search.  The float engine counts the cuts at or
+below each point by direct comparisons (`maps.cut_index`, O(cuts) per
+path-step).  The bit engine merges the branch thresholds and the observable's
+breakpoints, each moved to the first 64-bit word whose point reaches it, into
+one sorted table of word cuts; the count of cuts at or below the word is the
+cell, read from a bucket table indexed by the word's top bits (K + 1 reads,
+where K is the most cuts inside one bucket: 1 on the three-branch map, 0 on
+the full tent), and the cell's row holds the branch offset and sign and the
+observable's slope and intercept.  A step observable is read off the word
 through that row; the word is converted to a float only when the observable
 has a non-zero slope.
 """
@@ -143,6 +146,59 @@ def _word_cuts(points, lo: float, width: float) -> np.ndarray:
     return top
 
 
+# A bit-engine word's cell is read from a table of at most 2^_MAX_BUCKET_BITS
+# buckets, indexed by the word's top bits.
+_MAX_BUCKET_BITS = 12
+
+
+def _cell_table(cuts: np.ndarray):
+    """The bucket table from which `_word_cells` reads the count of the
+    sorted uint64 `cuts` at or below a word, as (shift, base, inner).
+
+    The table has 2^b buckets, each indexed by a word's top b bits.  Each
+    holds the count of cuts at or below its first word and the K cuts
+    strictly inside it, stored as the cut minus one (a word w reaches a cut
+    c when w > c - 1) and padded with the bucket's last word, which no word
+    of the bucket exceeds.  A word's cell is the base of its bucket plus one
+    for each inner cut it exceeds: K + 1 table reads and K comparisons per
+    word.  b is the smallest width in [1, _MAX_BUCKET_BITS] that reaches
+    the fewest inner cuts per bucket that the widest table reaches: cuts
+    that no table of 2^_MAX_BUCKET_BITS buckets separates are read with a
+    larger K, never with a larger table or on another path.
+    """
+    def inside(b: int):
+        """The bucket of each cut strictly inside one of 2^b, and those cuts."""
+        shift = np.uint64(64 - b)
+        bucket = cuts >> shift
+        strict = cuts != bucket << shift
+        return bucket[strict].astype(np.intp), cuts[strict]
+
+    def most_inside(b: int) -> int:
+        return int(np.bincount(inside(b)[0], minlength=1).max())
+
+    fewest = most_inside(_MAX_BUCKET_BITS)
+    b = next(b for b in range(1, _MAX_BUCKET_BITS + 1) if most_inside(b) == fewest)
+    shift = np.uint64(64 - b)
+    starts = np.arange(1 << b, dtype=np.uint64) << shift
+    base = np.searchsorted(cuts, starts, side="right").astype(np.intp)
+    bucket, inner_cuts = inside(b)
+    inner = np.tile(starts + (np.uint64(_TWO64 - 1) >> np.uint64(b)), (fewest, 1))  # each bucket's last word
+    rank = np.arange(len(bucket)) - np.searchsorted(bucket, bucket)  # order of each cut in its bucket
+    inner[rank, bucket] = inner_cuts - np.uint64(1)
+    return shift, base, inner
+
+
+def _word_cells(table, w: np.ndarray) -> np.ndarray:
+    """The count of cuts at or below each uint64 word, as `maps.cut_index`
+    counts them, read from the `_cell_table` of the cuts."""
+    shift, base, inner = table
+    top = (w >> shift).view(np.intp)
+    cell = base.take(top)
+    for row in inner:  # row k holds each bucket's k-th inner cut, less one
+        cell += w > row.take(top)
+    return cell
+
+
 def _bit_cells(p: dict, f: PiecewiseAffineFunction):
     """One sorted table of word cuts for the bit engine: the branch
     thresholds and the cuts of f's inner breakpoints.  Per cell between
@@ -166,7 +222,9 @@ def _orbit(map_: PiecewiseLinearMap, f: PiecewiseAffineFunction, inits: np.ndarr
     Maps accepted by _dyadic_engine_params run the sliding-window bit engine,
     which is exact in distribution.  Others run map_.step in double
     precision, where rounding acts as benign pseudo-orbit noise.  Each
-    path-step finds its piece with one `cut_index` lookup, O(cuts).  A step
+    path-step finds its piece with one lookup: `cut_index`, O(cuts), in the
+    float engine, and the bucket table of `_cell_table` in the bit engine,
+    O(cuts inside one bucket), which gives the same cells.  A step
     observable (every slope of f zero) yields its intercept, and the bit
     engine then never forms x: for finite x that is the value of 0*x + c up
     to the sign of a zero, which no partial sum started at +0.0 can see.
@@ -190,6 +248,7 @@ def _orbit(map_: PiecewiseLinearMap, f: PiecewiseAffineFunction, inits: np.ndarr
         return
 
     cuts, offset, mask, slope, intercept = _bit_cells(p, f)
+    table = _cell_table(cuts)
     has_neg = bool(np.any(mask))
     one = np.uint64(1)
     bits = _rng(seed, _STREAM_BITS)
@@ -203,7 +262,7 @@ def _orbit(map_: PiecewiseLinearMap, f: PiecewiseAffineFunction, inits: np.ndarr
     flip = np.zeros(len(w), dtype=np.uint64)
     bit = np.empty(len(w), dtype=np.uint64)
     for k in range(n_steps):
-        cell = cut_index(cuts, w)
+        cell = _word_cells(table, w)
         if not affine:
             yield intercept.take(cell)
         elif f.num_pieces == 1:

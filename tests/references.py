@@ -16,6 +16,11 @@ package to their bytes:
 - the Ulam push as a row vector times the row-stochastic matrix, and the
   Cesaro power iteration that kept its last 64 iterates in a deque and
   averaged each window with `np.mean` over the stacked iterates;
+- the power iteration with running window sums and the periodicity
+  detection as they pushed every cell of the chain at every step, before
+  they iterated only the image cells and the cells reachable from the
+  seed; the detection seeded the cell at `np.argmax` of the density's
+  intercepts, which is a cell of the chain only for its own density;
 - the density CSV rendered as one text, and the sample CSV written one
   formatted row at a time;
 - the density JSON with its cell list built at once and dumped as one text;
@@ -46,7 +51,8 @@ from scipy.special import ndtr
 from ergclt import densities
 from ergclt.clt import (VarianceProfile, _clamp_sigma2, _component_mass, _fit_slope, _geometric_tail,
                         autocovariance_sequence, blocked_observable)
-from ergclt.densities import _CESARO_WINDOWS, _POWER_MAX_ITER, ConvergenceError, UlamOperator
+from ergclt.densities import (_CESARO_WINDOWS, _DETECT_MAX_ITER, _DETECT_WINDOW, _POWER_MAX_ITER, _SUPPORT_EPS,
+                              ConvergenceError, DetectionError, UlamOperator, _support_cycle_length)
 from ergclt.maps import Interval, _tent_core_interval, tent_conjugacy, tent_fixed_point, tent_map
 from ergclt.piecewise import (_BP_EPS, MEASURE_TOL, PiecewiseAffineFunction, _cells_covered, _dedupe_breakpoints,
                               integrate_product, pw_sum)
@@ -302,6 +308,65 @@ def invariant_density(op, *, tol=1e-10, return_info=False):
     if return_info:
         return fn, {"residual": best_res, "iterations": steps}
     return fn
+
+
+def full_width_invariant_density(op, *, tol=1e-10, return_info=False):
+    n = op.grid_n
+    d = np.full(n, 1.0 / n)
+    sums = [np.zeros(n) for _ in _CESARO_WINDOWS]
+    best_res = math.inf
+    best = d
+    check_every = max(_CESARO_WINDOWS)
+    steps = 0
+    while steps < _POWER_MAX_ITER:
+        for left in range(check_every, 0, -1):
+            d = op.apply_to_masses(d)
+            steps += 1
+            for wdw, acc in zip(_CESARO_WINDOWS, sums):
+                if left <= wdw:
+                    acc += d
+        for wdw, acc in zip(_CESARO_WINDOWS, sums):
+            acc /= wdw
+            avg = acc / acc.sum()
+            acc.fill(0.0)
+            res = float(np.abs(op.apply_to_masses(avg) - avg).sum())
+            if res < best_res:
+                best_res = res
+                best = avg
+        if best_res <= tol:
+            break
+        check_every = min(2 * check_every, 4096)
+    if best_res > tol:
+        raise ConvergenceError(f"no invariant density after {steps} iterations", best_res)
+    best = np.maximum(best, 0.0)
+    best /= best.sum()
+    fn = op.masses_to_density(best)
+    if return_info:
+        return fn, {"residual": best_res, "iterations": steps}
+    return fn
+
+
+def full_width_detect_periodicity(op, density):
+    seed = int(np.argmax(density.intercepts))
+    d = np.zeros(op.grid_n)
+    d[seed] = 1.0
+    burn = 512
+    steps = 0
+    while steps < _DETECT_MAX_ITER:
+        target = min(burn, _DETECT_MAX_ITER - steps - _DETECT_WINDOW)
+        for _ in range(max(target, 0)):
+            d = op.apply_to_masses(d)
+            steps += 1
+        supports = []
+        for _ in range(_DETECT_WINDOW):
+            d = op.apply_to_masses(d)
+            steps += 1
+            supports.append(np.packbits(d > _SUPPORT_EPS).tobytes())
+        r = _support_cycle_length(supports)
+        if r is not None:
+            return r
+        burn *= 2
+    raise DetectionError(f"no support cycle within {_DETECT_MAX_ITER} iterations")
 
 
 def sample_csv(sample, path):

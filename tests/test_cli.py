@@ -461,6 +461,18 @@ PINNED_RUNS = {
         {"run.csv": "4cd8604a9fe154fd06d731de8827325b6d69d05ff76062397fe51034b8a7ebff",
          "run.json": "49cf5d8ff2874bad6e52e9dbeb99383d3ab678579eb3cdc8ee3413390d7bf78c"},
     ),
+    # the bit engine on a slope -2 branch, with one word cut and no inner cut
+    "simulate_tent_2": (
+        ["simulate", "--map", "tent", "--a", "2", "--paths", "200", "--steps", "256", "--seed", "7"],
+        {"run.csv": "f52cc46fd54c76a75981e2e348d47b59217c2db8bbdb4b2f1a4be0df151227db",
+         "run.json": "79bbbd8b35bb24b7f86bc86a2834f12c403571317cf5c4199464f07b269a8fd5"},
+    ),
+    # period 4, detected on the few cells reachable from the seed
+    "density_tent_1.1": (
+        ["density", "--map", "tent", "--a", "1.1", "--grid", "16384"],
+        {"run.csv": "35b2c282b025dfcd9beb6e5bce348bf7731f3feec2d179a0fa3392e5e52a48b3",
+         "run.json": "d9bb1832d9e23e243bb70813bc7c3089341647538c216b3adeaa3571aa1c825b"},
+    ),
     # the float orbit engine
     "simulate_tent_1.3": (
         ["simulate", "--map", "tent", "--a", "1.3", "--paths", "200", "--steps", "256", "--seed", "7"],
@@ -521,7 +533,10 @@ def test_mean_recursion_loads_no_scipy(tmp_path):
 
 
 def test_density_loads_scipy_sparse(tmp_path):
-    """The Ulam chain of `density` loads scipy.sparse on its first use."""
+    """The Ulam chain of `density` loads scipy.sparse on its first use, but
+    not scipy.sparse.csgraph: the reachable cells are found on the CSR
+    arrays, and importing csgraph costs about 11 MiB of RSS."""
     codes, loaded = cold_start(tmp_path, ["density", "--map", "tent", "--a", "1.5", "--grid", "1024"])
     assert codes == [0]
     assert "scipy.sparse" in loaded
+    assert not [m for m in loaded if m.startswith("scipy.sparse.csgraph")]

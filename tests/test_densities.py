@@ -14,12 +14,14 @@ from ergclt.densities import (
     ROW_SUM_ULPS,
     ConvergenceError,
     UlamOperator,
+    _reachable,
     detect_periodicity,
     invariant_density,
     tent_density,
     ulam_matrix,
 )
-from ergclt.maps import squared_param, tent_map, tent_period, tent_support_cycle, three_branch_map
+from ergclt.maps import (Interval, PiecewiseLinearMap, squared_param, tent_map, tent_period, tent_support_cycle,
+                         three_branch_map)
 from ergclt.transfer import frobenius_perron
 
 
@@ -93,7 +95,7 @@ def test_invariant_density_matches_stacked_mean_reference(build, n):
     assert fn.intercepts.tobytes() == old_fn.intercepts.tobytes()
     assert float.hex(info["residual"]) == float.hex(old_info["residual"])
     assert info["iterations"] == old_info["iterations"]
-    assert detect_periodicity(op, fn) == detect_periodicity(old_op, old_fn)
+    assert detect_periodicity(op, fn) == ref.full_width_detect_periodicity(old_op, old_fn)
 
 
 def _traced_peak_mib(run) -> float:
@@ -151,6 +153,79 @@ def test_invariant_density_vanishes_outside_core():
 def test_detect_periodicity_grid4096(a):
     op = ulam_matrix(tent_map(a), 4096)
     assert detect_periodicity(op, invariant_density(op)) == tent_period(a)
+
+
+@pytest.mark.parametrize("a", [1.3, 1.25, 1.1])
+def test_detect_periodicity_seeded_by_the_closed_form(a):
+    """A density on another grid than the chain's seeds the chain's cell
+    under its largest piece, so the closed-form tent density detects the
+    formula's period on a 4096-cell chain (reading its piece index as a cell
+    gave 1 at a = 1.1 and 1.25)."""
+    op = ulam_matrix(tent_map(a), 4096)
+    assert detect_periodicity(op, tent_density(a)) == tent_period(a)
+
+
+def _rotation(cells: int) -> PiecewiseLinearMap:
+    """x -> x + 1/cells mod 1: its Ulam chain on `cells` cells is one cycle
+    through every cell."""
+    step = 1.0 / cells
+    return PiecewiseLinearMap(Interval(0.0, 1.0),
+                              [((0.0, 1.0 - step), 1.0, step), ((1.0 - step, 1.0), 1.0, step - 1.0)])
+
+
+def _outcome(run):
+    try:
+        return run()
+    except RuntimeError as exc:  # ConvergenceError and DetectionError
+        return type(exc), str(exc)
+
+
+# (map, grid, tolerance of the power iteration)
+_CHAIN_CASES = {
+    "tent2": (lambda: tent_map(2.0), 4096, 1e-10),          # the reachable set is the whole support
+    "tent1.1": (lambda: tent_map(1.1), 65536, 1e-10),       # 365 reachable cells of 65,536
+    "three-branch-odd": (three_branch_map, 1001, 1e-10),    # a cell straddles 0.5 and joins the halves
+    "tent1.06-coarse": (lambda: tent_map(1.06), 4096, 1e-10),  # shows period 2, not the formula's 8
+    "tent1.3-unreachable-tol": (lambda: tent_map(1.3), 64, 0.0),  # ConvergenceError
+    "rotation-longer-than-window": (lambda: _rotation(128), 128, 1e-10),  # DetectionError
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CHAIN_CASES))
+def test_restricted_chains_keep_the_full_chain_bits(case):
+    """Iterating the image cells and the cells reachable from the seed gives
+    the density bytes, residual, iteration count and period of pushing every
+    cell, and a failing case raises the same exception and message."""
+    build, grid, tol = _CHAIN_CASES[case]
+    op = ulam_matrix(build(), grid)
+    got = _outcome(lambda: invariant_density(op, tol=tol, return_info=True))
+    want = _outcome(lambda: ref.full_width_invariant_density(op, tol=tol, return_info=True))
+    if isinstance(want[0], type):
+        assert got == want
+        return
+    (fn, info), (old_fn, old_info) = got, want
+    assert fn.intercepts.tobytes() == old_fn.intercepts.tobytes()
+    assert float.hex(info["residual"]) == float.hex(old_info["residual"])
+    assert info["iterations"] == old_info["iterations"]
+    assert _outcome(lambda: detect_periodicity(op, fn)) == _outcome(lambda: ref.full_width_detect_periodicity(op, fn))
+
+
+@pytest.mark.parametrize("build, grid", [(lambda: tent_map(2.0), 4096), (lambda: tent_map(1.1), 65536),
+                                         (lambda: tent_map(1.5), 4096), (three_branch_map, 1001),
+                                         (three_branch_map, 1024)])
+def test_restricted_chains_rest_on_a_closed_set_and_an_empty_rest(build, grid):
+    """The two facts the restricted chains rest on: every stored entry of a
+    reachable row points at a reachable cell, and a push leaves exactly +0.0
+    on every cell outside the image, whose rows of `pushes` are empty."""
+    op = ulam_matrix(build(), grid)
+    seed = int(np.argmax(invariant_density(op).intercepts))
+    cells = _reachable(op.rows, seed)
+    assert seed in cells
+    assert np.isin(op.rows[cells].indices, cells).all()
+    image = np.diff(op.pushes.indptr) > 0
+    assert image.any()
+    pushed = op.apply_to_masses(np.random.default_rng(grid).uniform(0.0, 1.0, grid))
+    assert pushed[~image].tobytes() == np.zeros(np.count_nonzero(~image)).tobytes()
 
 
 @pytest.mark.parametrize("a", [2.0, 1.8, 1.5, 1.3, 1.2, 1.1])

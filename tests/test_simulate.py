@@ -17,15 +17,18 @@ from scipy.special import ndtr
 import references as ref
 from ergclt import simulate
 from ergclt.clt import Observable, tent_system, three_branch_system, variance_profile
-from ergclt.maps import tent_map, tent_support_cycle, three_branch_map
+from ergclt.maps import cut_index, tent_map, tent_support_cycle, three_branch_map
 from ergclt.piecewise import PiecewiseAffineFunction as PAF
 from ergclt.piecewise import integrate_product
 from ergclt.simulate import (
     _STREAM_BITS,
     _TWO64,
+    _bit_cells,
+    _cell_table,
     _dyadic_engine_params,
     _orbit,
     _rng,
+    _word_cells,
     _word_cuts,
     _word_x,
     ks_statistic,
@@ -240,6 +243,68 @@ def test_word_cuts_bracket_each_point(domain, data):
     assert _word_x(np.array([c], dtype=np.uint64), lo, width)[0] >= b
     if c > 0:
         assert _word_x(np.array([c - 1], dtype=np.uint64), lo, width)[0] < b
+
+
+def _near(c: int):
+    return [c + d for d in (-1, 0, 1) if 0 <= c + d < _TWO64]
+
+
+@st.composite
+def word_cut_sets(draw):
+    """Sorted uint64 cut sets built from random words, bucket starts of every
+    table width, near twins 256 apart, runs of cuts too close for any bucket
+    to separate, 0 and 2^64 - 1; repeats are kept."""
+    start = st.builds(lambda b, t: (t % (1 << b)) << (64 - b), st.integers(1, 12), st.integers(0, 2**12))
+    word = st.integers(0, _TWO64 - 1)
+    cut = st.one_of(word, start, st.sampled_from([0, _TWO64 - 1, 2**62, 2**63, 3 * 2**62]))
+    cuts = draw(st.lists(cut, max_size=8))
+    twins = draw(st.lists(cut, max_size=3))
+    cuts += [c + 256 for c in twins if c + 256 < _TWO64] + twins
+    run = draw(st.one_of(st.just([]), st.builds(lambda c, k: [c + 256 * i for i in range(k)],
+                                                st.integers(0, _TWO64 - 2**20), st.integers(2, 5))))
+    return sorted(cuts + run)
+
+
+@given(word_cut_sets(), st.lists(st.integers(0, _TWO64 - 1), max_size=20))
+def test_bucket_table_gives_the_cut_count(cuts, words):
+    """The bucket table reads the cell that `cut_index` counts, at 0, at
+    2^64 - 1, at each cut and its two neighbours, and at random words."""
+    c = np.array(cuts, dtype=np.uint64)
+    w = np.array(sorted({0, _TWO64 - 1, *words, *(x for k in cuts for x in _near(k))}), dtype=np.uint64)
+    table = _cell_table(c)
+    assert _word_cells(table, w).tolist() == cut_index(c, w).tolist()
+    shift, base, inner = table
+    assert len(base) <= 2**12 and inner.shape[1] == len(base) == 1 << (64 - int(shift))
+
+
+@pytest.mark.parametrize("cuts, buckets, inside", [
+    ([], 2, 0),
+    ([0], 2, 0),
+    ([_TWO64 - 1], 2, 1),
+    ([2**63], 2, 0),
+    ([2**62 - 256, 2**62, 2**63 - 512, 3 * 2**62 - 1024, 3 * 2**62], 4, 1),   # three-branch
+    ([2**63 - 256, 2**63, 2**63 + 256], 2, 1),
+    ([5, 261, 517], 2, 3),                  # no table of 2^12 buckets separates them
+    ([2**52 * k for k in range(1, 4096)], 4096, 0),
+], ids=["empty", "zero", "top", "tent2", "three-branch", "near-twins", "k3", "every-start"])
+def test_bucket_table_size(cuts, buckets, inside):
+    """The fewest buckets that hold the fewest inner cuts, capped at 2^12,
+    and the cells of cut_index at every cut and its neighbours."""
+    c = np.array(cuts, dtype=np.uint64)
+    table = _cell_table(c)
+    assert table[2].shape == (inside, buckets)
+    w = np.array([0, _TWO64 - 1, *(x for k in cuts for x in _near(k))], dtype=np.uint64)
+    assert _word_cells(table, w).tolist() == cut_index(c, w).tolist()
+
+
+@pytest.mark.parametrize("system, cuts", [(lambda: tent_system(2.0), [2**63]),
+                                          (three_branch_system, [2**62 - 256, 2**62, 2**63 - 512,
+                                                                 3 * 2**62 - 1024, 3 * 2**62])],
+                         ids=["tent2", "three_branch"])
+def test_bit_engine_word_cuts_of_the_systems(system, cuts):
+    """The word cuts that the bit engine reads for each system's observable."""
+    s = system()
+    assert _bit_cells(_dyadic_engine_params(s.map), s.observable.f)[0].tolist() == cuts
 
 
 @pytest.mark.parametrize("system", [lambda: tent_system(2.0), three_branch_system, lambda: tent_system(1.3)],
