@@ -29,6 +29,8 @@ package to their bytes:
 - the algebra methods the push and the composition were built from before
   they shared one plan: `compose_affine`, `compose_branches` (f o T on the
   concatenated branch grids) and `embed` (zero pieces out to a span);
+- the condition under which the plan was built in one pass, before its
+  output grid was merged, and so had the bits of the constructions above;
 - `dyadic_block_norms` with its own pass of the iterates, before it and
   `condition_report` shared one;
 - `variance_profile_dyadic` with its own pass of the iterates and its
@@ -48,7 +50,7 @@ from collections import deque
 import numpy as np
 from scipy.special import ndtr
 
-from ergclt import densities
+from ergclt import densities, transfer
 from ergclt.clt import (VarianceProfile, _clamp_sigma2, _component_mass, _fit_slope, _geometric_tail,
                         autocovariance_sequence, blocked_observable)
 from ergclt.densities import (_CESARO_WINDOWS, _DETECT_MAX_ITER, _DETECT_WINDOW, _POWER_MAX_ITER, _SUPPORT_EPS,
@@ -441,6 +443,20 @@ def compose_branches(f, map_):
         sl[cells] = np.repeat(part.slopes, counts)
         ic[cells] = np.repeat(part.intercepts, counts)
     return PiecewiseAffineFunction(grid, sl, ic, validate=False)
+
+
+def one_pass_plan_ran(map_, bp, push):
+    """Whether the plan of grid bp was built in one pass, with the bits of
+    `frobenius_perron` and `compose_branches`, before its output grid was
+    merged: every cell of the unmerged output grid was wider than a gap of
+    `_BP_EPS`, or 2^-50 (1 + 1/|slope|) for an inverse slope below about
+    1/10, times the grid's scale.  Elsewhere the plan was built branch by
+    branch over merged grids."""
+    table = transfer._branches(map_, push)
+    pre = (bp - table.intercept) / table.slope
+    out = np.unique(np.concatenate([table.ends, pre[(pre > table.lo) & (pre < table.hi)]]))
+    margin = max(_BP_EPS, 2.0**-50 * (1.0 + 1.0 / np.abs(table.slope).min()))
+    return bool((out[1:] - out[:-1]).min() > margin * max(1.0, abs(out[0]), abs(out[-1])))
 
 
 def embed(f, lo, hi):

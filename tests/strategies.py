@@ -71,10 +71,19 @@ SHORT_IMAGE_MAP = PiecewiseLinearMap(Interval(0.0, 1.0), [((0.0, 0.5), 1.2, 0.1)
 
 
 # Three branches on [0, 1], the last with slope 256: a push reads f through
-# an inverse slope of 1/256, so the one-pass plan needs more room per output
-# cell than the merge tolerance.
+# an inverse slope of 1/256, so the rounding of an output midpoint, 256
+# times smaller in f's coordinate, can take a cell of f beside its own.
 STEEP_MAP = PiecewiseLinearMap(Interval(0.0, 1.0), [((0.0, 0.5), 2.0, 0.0), ((0.5, 255 / 256), -2.0, 2.0),
                                                     ((255 / 256, 1.0), 256.0, -255.0)])
+
+
+def steep_sliver_grid(b):
+    """A grid on STEEP_MAP's domain through b in (255/256, 1) and through the
+    point whose image under the slope-2 branch lies 1.5e-14 below x, the
+    preimage of b under the steep branch: x and that image bound an output
+    cell of the push, and b is a breakpoint the steep branch reads there."""
+    x = (b - 255 / 256) * 256
+    return np.array([0.0, (x - 1.5e-14) / 2, b, 1.0])
 
 
 @st.composite

@@ -12,10 +12,11 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ergclt
+import oracle
 import references as ref
 from ergclt import piecewise, transfer
 from ergclt.clt import Observable, condition_report, tent_system, three_branch_system
@@ -26,7 +27,7 @@ from ergclt.piecewise import PieceBudgetExceeded, integrate_product, pw_sum
 from ergclt.simulate import dyadic_block_norms
 from ergclt.transfer import DEAD_ITERATE_REL, NormalizedTransfer, frobenius_perron, koopman
 
-from strategies import STEEP_MAP, affine_functions, maps_and_functions_through, plan_cases
+from strategies import STEEP_MAP, affine_functions, maps_and_functions_through, plan_cases, steep_sliver_grid
 
 FOUR_STEP = PAF.step([0.0, 0.25, 0.5, 0.75, 1.0], [1.0, -1.0, -2.0, 2.0])
 
@@ -370,14 +371,17 @@ def test_koopman_matches_the_concatenated_composition(name, kind):
 def test_near_tiling_pieces_compose_as_concatenated():
     """Pieces that miss by 5e-13 or overlap by 1e-15 start exactly where the
     piece before them ends, so the sorted union of the branch grids is their
-    concatenation: the composition has the reference's bits and f(T(x))."""
+    concatenation.  The middle branch maps 0.6, 1e-15 inside its piece's
+    end, onto f's end 0, so the output grid has a near twin there: the
+    composition is within the oracle's bound of f o T, and gives f(T(x))."""
     map_ = PiecewiseLinearMap(Interval(0.0, 1.0), [((0.0, 0.3), 3.0, 0.0), ((0.3 + 5e-13, 0.6 + 1e-15), -3.0, 1.8),
                                                    ((0.6, 1.0), 2.5, -1.5)])
     for i in (1, 2):
         assert map_.branches[i][0].lo == map_.branches[i - 1][0].hi
     f = _chain_start(map_, "affine")
+    assert not ref.one_pass_plan_ran(map_, f.breakpoints, push=False)
     g = koopman(map_, f)
-    assert_same_function(g, ref.compose_branches(f, map_).pruned())
+    assert oracle.l1_distance(g, oracle.compose(map_, oracle.exact(f))) <= oracle.bound(1, f.sup_norm(), 1.0, prunes=1)
     x = np.random.default_rng(21).uniform(0.0, 1.0, 1000)
     assert np.abs(g(x) - f(map_(x))).max() <= 1e-14
 
@@ -406,10 +410,10 @@ def test_rebuilt_map_takes_no_stale_plan():
     assert_same_function(frobenius_perron(rebuilt, f), ref.frobenius_perron(tent_map(1.8), f))
 
 
-def _count_plans(monkeypatch, name="_branch_plan"):
+def _count_plans(monkeypatch):
     built = []
-    plan = getattr(transfer, name)
-    monkeypatch.setattr(transfer, name, lambda *args, **kwargs: built.append(1) or plan(*args, **kwargs))
+    plan = transfer._branch_plan
+    monkeypatch.setattr(transfer, "_branch_plan", lambda *args, **kwargs: built.append(1) or plan(*args, **kwargs))
     return built
 
 
@@ -450,71 +454,73 @@ def test_plan_store_stays_bounded():
     assert f.breakpoints.tobytes() in map_.push_plans
 
 
-def test_per_branch_plan_runs_on_near_twins_only(monkeypatch):
-    """Breakpoints 3e-15 apart, which the merge joins, send the push and the
-    composition to the per-branch plan, with the reference's bits; the same
-    function without the twin takes the one-pass plan."""
-    built = _count_plans(monkeypatch, "_per_branch_plan")
+def test_near_twins_merge_in_the_plan():
+    """Breakpoints 3e-15 apart, which the merge joins, leave one point of
+    each output pair: the push and the composition have no cell narrower
+    than the merge tolerance and are within the oracle's bound.  The same
+    function without the twin keeps the reference's bits."""
     map_ = tent_map(1.3)
     plain = PAF([-1.0, -0.2, 0.4, 1.0], [1.0, -2.0, 0.5], [0.3, 1.0, -1.0])
     twin = PAF([-1.0, -0.2, -0.2 + 3e-15, 0.4, 1.0], [1.0, 3.0, -2.0, 0.5], [0.3, -1.0, 1.0, -1.0])
     assert_same_function(frobenius_perron(map_, plain), reference_frobenius_perron(map_, plain))
     assert_same_function(koopman(map_, plain), ref.compose_branches(plain, map_).pruned())
-    assert built == []
-    assert_same_function(frobenius_perron(map_, twin), reference_frobenius_perron(map_, twin))
-    assert_same_function(koopman(map_, twin), ref.compose_branches(twin, map_).pruned())
-    assert len(built) == 2
-
-
-def assert_same_plan(got, expect):
-    """Plans with the same grid bytes, covered ranges, source cells and coefficients."""
-    assert got[0].tobytes() == expect[0].tobytes()
-    assert len(got[1]) == len(expect[1])
-    for (start, stop, src, *coeffs), (e_start, e_stop, e_src, *e_coeffs) in zip(got[1], expect[1]):
-        assert (start, stop, coeffs) == (e_start, e_stop, e_coeffs)
-        assert src.tobytes() == e_src.tobytes()
+    for (got, want) in ((frobenius_perron(map_, twin), oracle.push), (koopman(map_, twin), oracle.compose)):
+        assert np.diff(got.breakpoints).min() > piecewise._BP_EPS
+        assert oracle.l1_distance(got, want(map_, oracle.exact(twin))) <= oracle.bound(1, twin.sup_norm(), 2.0, prunes=1)
 
 
 @pytest.mark.parametrize("b", [0.9975, 0.998, 0.999])
-def test_steep_branch_needs_the_rounding_margin(b):
+def test_steep_branch_sliver_within_the_oracle_bound(b):
     """Under STEEP_MAP's slope-256 branch, b's preimage x and a preimage
-    under the slope-2 branch 1.5e-14 below it bound an output cell.  Read at
-    that cell's midpoint, the steep branch rounds to b itself and takes f's
-    cell right of b; the branch's own grid reads the cell left of it.  With
-    only the merge tolerance as its gap the one-pass plan has the right grid
-    and ranges but that wrong cell; the table's gap sends the grid to the
-    per-branch plan, and the push keeps the reference's bits."""
-    table = transfer._branches(STEEP_MAP, True)
-    x = (b - table.intercept[2, 0]) / table.slope[2, 0]
-    bp = np.array([0.0, (x - 1.5e-14) / 2, b, 1.0])
-    grid, terms = transfer._per_branch_plan(table, bp)
-    tolerance_only = transfer._one_pass_plan(table._replace(gap=piecewise._BP_EPS), bp)
-    assert tolerance_only[0].tobytes() == grid.tobytes()
-    assert [t[:2] for t in tolerance_only[1]] == [t[:2] for t in terms]
-    assert tolerance_only[1][2][2].tobytes() != terms[2][2].tobytes()
-    assert transfer._one_pass_plan(table, bp) is None
+    under the slope-2 branch 1.5e-14 below it bound an output cell, wider
+    than the merge tolerance.  Read at that cell's midpoint, the steep branch
+    rounds to b itself and takes f's cell right of b, though the cell maps
+    left of b: the push misreads a sliver 1.4988e-14 wide, at an L1 cost of
+    its width times f's jump at b over 256, far inside the oracle's bound."""
+    bp = steep_sliver_grid(b)
+    grid, terms = transfer._branch_plan(STEEP_MAP, bp, push=True)
+    i = int(grid.searchsorted((b - 255 / 256) * 256))
+    sliver = grid[i] - grid[i - 1]
+    assert sliver == 1.4988010832439613e-14
+    start, _, src, *_ = terms[2]
+    assert src[i - 1 - start] == 2 and src[i - 2 - start] == 1
     f = PAF(bp, [1.0, -2.0, 3.0], [0.5, 1.0, -4.0])
-    assert_same_function(frobenius_perron(STEEP_MAP, f), reference_frobenius_perron(STEEP_MAP, f))
+    err = oracle.l1_distance(frobenius_perron(STEEP_MAP, f), oracle.push(STEEP_MAP, oracle.exact(f)))
+    jump = abs(f.slopes[1] * b + f.intercepts[1] - (f.slopes[2] * b + f.intercepts[2]))
+    assert err == pytest.approx(sliver * jump / 256, rel=1e-9)
+    assert err <= oracle.bound(1, f.sup_norm(), 1.0, prunes=1)
+
+
+def assert_matches_reference_or_oracle(map_, f, push):
+    """The push (or composition) of f has the bits of the per-branch
+    reference where its plan was built in one pass before the merge joined
+    the plan (`references.one_pass_plan_ran`), and is within the oracle's
+    bound elsewhere: near twins and STEEP_MAP's steep branch."""
+    if push:
+        got, want = frobenius_perron(map_, f), reference_frobenius_perron
+    else:
+        got, want = koopman(map_, f), lambda map_, f: ref.compose_branches(f, map_).pruned()
+    if ref.one_pass_plan_ran(map_, f.breakpoints, push):
+        assert_same_function(got, want(map_, f))
+    else:
+        exact = (oracle.push if push else oracle.compose)(map_, oracle.exact(f))
+        assert oracle.l1_distance(got, exact) <= oracle.bound(1, f.sup_norm(), oracle.width(map_), prunes=1)
 
 
 @settings(max_examples=120)
-@given(plan_cases(), st.booleans())
-def test_property_one_pass_plan_matches_per_branch_plan(case, push):
-    """Wherever the one-pass plan runs (every output cell wider than the
-    table's gap), it has the per-branch plan's grid bytes, covered ranges,
-    source cells and coefficients; the steep branch of STEEP_MAP widens the
-    gap past the merge tolerance."""
+@given(plan_cases(), st.lists(st.floats(-5.0, 5.0), min_size=8, max_size=8), st.booleans())
+def test_property_one_pass_plan_matches_per_branch_plan(case, values, push):
+    """The push and the composition on the grids of iterates (pushed 0-2
+    times), some under STEEP_MAP, whose steep branch widened the old gap
+    past the merge tolerance."""
     map_, bp = case
-    table = transfer._branches(map_, push)
-    one = transfer._one_pass_plan(table, bp)
-    assume(one is not None)
-    assert_same_plan(one, transfer._per_branch_plan(table, bp))
+    n = len(bp) - 1
+    assert_matches_reference_or_oracle(map_, PAF(bp, np.resize(values[::-1], n), np.resize(values, n)), push)
 
 
 @given(maps_and_functions_through())
 def test_property_push_matches_reference_chain(case):
-    map_, f = case
-    assert_same_function(frobenius_perron(map_, f), reference_frobenius_perron(map_, f))
+    assert_matches_reference_or_oracle(*case, push=True)
 
 
 def test_push_over_piece_budget_raises(monkeypatch):
@@ -549,10 +555,30 @@ def assert_iterates_match_plain_loop(nt, v, step, max_lag=8):
 
 @given(maps_and_functions_through(), st.sampled_from([1, 2]))
 def test_property_iterates_match_plain_loop(case, step):
-    """Functions whose grids hold branch edges, their images and near twins."""
+    """Functions whose grids hold branch edges, their images and near twins:
+    the plain loop's bits where every push of the loop had a one-pass plan
+    before the merge joined the plan, else the oracle's bound."""
     map_, f = case
-    nt = NormalizedTransfer(map_, PAF.constant(map_.domain.lo, map_.domain.hi, 1.0))
-    assert_iterates_match_plain_loop(nt, f, step)
+    if plain_loop_is_one_pass(map_, f, step):
+        nt = NormalizedTransfer(map_, PAF.constant(map_.domain.lo, map_.domain.hi, 1.0))
+        assert_iterates_match_plain_loop(nt, f, step)
+    else:
+        oracle.assert_iterates_within_bound(map_, f, step)
+
+
+def plain_loop_is_one_pass(map_, v, step, max_lag=8):
+    """Whether every push of the plain loop of `assert_iterates_match_plain_loop`
+    had a plan built in one pass before the merge joined the plan."""
+    dead = DEAD_ITERATE_REL * reference_norm_l1(v)
+    for _ in range(max_lag):
+        for _ in range(step):
+            if not ref.one_pass_plan_ran(map_, v.breakpoints, push=True):
+                return False
+            v = reference_frobenius_perron(map_, v)
+        v = v.pruned()
+        if reference_norm_l1(v) <= dead:
+            break
+    return True
 
 
 DYADIC_VALUES = st.integers(1, 4).flatmap(
@@ -642,16 +668,19 @@ def test_step_iterates_of_a_near_twin_grid(monkeypatch, step):
 @given(plan_cases(), st.lists(st.sampled_from([0.0, 0.3, -1.0]) | st.floats(-5.0, 5.0), min_size=64, max_size=64),
        st.booleans())
 def test_property_pushed_and_pruned_grids_pass_the_width_check(case, values, step):
-    """Every grid that a push and a prune leave has cells wider than
-    `_BP_EPS` times its scale, also from grids with near twins, which the
-    per-branch plan merges.  `NormalizedTransfer.iterates` reads a step
-    iterate's L1 norm as `norm_l1` does past this check, without making it."""
+    """Every grid that a push and a prune leave, and every grid that a
+    composition leaves, has cells wider than `_BP_EPS` times its scale, also
+    from grids with near twins, which the plan merges.
+    `NormalizedTransfer.iterates` reads a step iterate's L1 norm as `norm_l1`
+    does past this check, without making it."""
     map_, bp = case
     n = len(bp) - 1
     ic = np.resize(np.array(values), n)
     sl = None if step else np.resize(np.array(values[::-1]), n)
-    grid, _, _ = piecewise._pruned(*transfer._push(map_, bp, sl, ic))
-    assert (grid[1:] - grid[:-1]).min() > piecewise._BP_EPS * max(1.0, abs(grid[0]), abs(grid[-1]))
+    pushed, _, _ = piecewise._pruned(*transfer._push(map_, bp, sl, ic))
+    composed = koopman(map_, PAF(bp, np.zeros(n) if sl is None else sl, ic)).breakpoints
+    for grid in (pushed, composed):
+        assert (grid[1:] - grid[:-1]).min() > piecewise._BP_EPS * max(1.0, abs(grid[0]), abs(grid[-1]))
 
 
 def test_density_with_a_slope_is_not_a_step():
