@@ -13,6 +13,9 @@ package to their bytes:
 - the tent density from a 4096-cell Ulam chain, windowed to the invariant
   core, which the mean-recursion criterion integrated against before it
   used the closed form;
+- the Ulam matrix build that held every per-offset entry list and the last
+  branch's arrays through its COO -> CSR conversion, and handed it intp
+  indices;
 - the Ulam push as a row vector times the row-stochastic matrix, and the
   Cesaro power iteration that kept its last 64 iterates in a deque and
   averaged each window with `np.mean` over the stacked iterates;
@@ -39,7 +42,9 @@ package to their bytes:
   after each level, which the profile no longer keeps;
 - `limit_law_check` with the initial points passed apart from the sample,
   and its two hand-written report branches, one for the mixture and one
-  for the components, each with its own degenerate skip.
+  for the components, each with its own degenerate skip.  Its component
+  CDF is the package's one-term mixture, so the reference follows the
+  package's Phi.
 """
 
 import itertools
@@ -48,7 +53,7 @@ import math
 from collections import deque
 
 import numpy as np
-from scipy.special import ndtr
+import scipy.sparse as sp
 
 from ergclt import densities, transfer
 from ergclt.clt import (VarianceProfile, _clamp_sigma2, _component_mass, _fit_slope, _geometric_tail,
@@ -266,6 +271,52 @@ def tent_ulam_density(a, grid_n=4096):
         mass = fn.integral()
         fn = fn * (1.0 / mass)
     return fn.pruned()
+
+
+def ulam_rows(map_, n):
+    """The row-stochastic Ulam matrix as `ulam_matrix` built it, entry lists
+    and branch arrays alive through the COO -> CSR conversion."""
+    lo, hi = map_.domain.lo, map_.domain.hi
+    edges = np.linspace(lo, hi, n + 1)
+    w = (hi - lo) / n
+    rows_i = []
+    cols_j = []
+    vals = []
+    for (piece, s, c) in map_.branches:
+        i0 = max(int(np.floor((piece.lo - lo) / w)), 0)
+        i1 = min(int(np.ceil((piece.hi - lo) / w)), n)
+        idx = np.arange(i0, i1)
+        seg_lo = np.maximum(edges[idx], piece.lo)
+        seg_hi = np.minimum(edges[idx + 1], piece.hi)
+        keep = seg_hi - seg_lo > 1e-15 * max(1.0, abs(hi), abs(lo))
+        idx, seg_lo, seg_hi = idx[keep], seg_lo[keep], seg_hi[keep]
+        if len(idx) == 0:
+            continue
+        a_img = s * seg_lo + c
+        b_img = s * seg_hi + c
+        img_lo = np.minimum(a_img, b_img)
+        img_hi = np.maximum(a_img, b_img)
+        frac = (seg_hi - seg_lo) / w
+        j_lo = np.clip(np.searchsorted(edges, img_lo, side="right") - 1, 0, n - 1)
+        j_hi = np.clip(np.searchsorted(edges, img_hi, side="left") - 1, 0, n - 1)
+        span = int((j_hi - j_lo).max()) + 1
+        img_len = img_hi - img_lo
+        for off in range(span):
+            j = np.minimum(j_lo + off, j_hi)
+            ov = np.minimum(img_hi, edges[j + 1]) - np.maximum(img_lo, edges[j])
+            ov = np.maximum(ov, 0.0)
+            m = (off <= j_hi - j_lo) & (ov > 0) & (img_len > 0)
+            if not np.any(m):
+                continue
+            rows_i.append(idx[m])
+            cols_j.append(j[m])
+            vals.append(frac[m] * ov[m] / img_len[m])
+    mat = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows_i), np.concatenate(cols_j))),
+        shape=(n, n),
+    ).tocsr()
+    mat.sum_duplicates()
+    return mat
 
 
 class RowPushUlam(UlamOperator):
@@ -531,7 +582,7 @@ def limit_law_check(sample, profile, init_points):
                                          float(t), note="degenerate component: KS skipped"))
                 continue
             reports.append(ks_statistic(
-                cond, lambda x: ndtr(x / math.sqrt(v * float(t))),
+                cond, lambda x: mixture_normal_cdf([(1.0, v)], float(t), x),
                 target={"component": [list(s) for s in supports], "sigma2": v}, t=float(t),
             ))
     return reports

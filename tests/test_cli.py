@@ -473,6 +473,12 @@ PINNED_RUNS = {
         {"run.csv": "35b2c282b025dfcd9beb6e5bce348bf7731f3feec2d179a0fa3392e5e52a48b3",
          "run.json": "d9bb1832d9e23e243bb70813bc7c3089341647538c216b3adeaa3571aa1c825b"},
     ),
+    # an odd grid: the COO build of the Ulam matrix sums two duplicate entries
+    "density_tent_1.3_odd": (
+        ["density", "--map", "tent", "--a", "1.3", "--grid", "1025"],
+        {"run.csv": "36626efd449bb0e998b2d3ff1370d51b6099ba9026fa65b7dc214f758442997b",
+         "run.json": "74c758da84e1402eb56cf13e76869b5165287015c61558504bf896db226a5411"},
+    ),
     # the float orbit engine
     "simulate_tent_1.3": (
         ["simulate", "--map", "tent", "--a", "1.3", "--paths", "200", "--steps", "256", "--seed", "7"],

@@ -40,6 +40,24 @@ def test_three_branch_block_structure(n):
     assert np.all(mat[half:, :half] == 0)
 
 
+@pytest.mark.parametrize("n", [65536, 10001, 4097, 1025, 999, 1001])
+@pytest.mark.parametrize("build", [
+    lambda: tent_map(1.5), lambda: tent_map(1.3), lambda: tent_map(1.1), lambda: tent_map(2.0),
+    three_branch_map,
+], ids=["tent1.5", "tent1.3", "tent1.1", "tent2", "three_branch"])
+def test_ulam_matrix_keeps_the_reference_build(build, n):
+    """`rows` and `pushes` hold the data, indices and indptr of the build
+    that kept its entry lists through the COO -> CSR conversion, dtypes
+    included; the odd tent grids sum one or two duplicate entries."""
+    map_ = build()
+    op = ulam_matrix(map_, n)
+    want = ref.ulam_rows(map_, n)
+    for got, old in ((op.rows, want), (op.pushes, want.T.tocsr())):
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(got, name), getattr(old, name)
+            assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), name
+
+
 @pytest.mark.parametrize("build", [
     lambda: (tent_map(2.0), 128),
     lambda: (tent_map(1.37), 200),
