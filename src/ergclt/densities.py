@@ -82,6 +82,12 @@ class UlamOperator:
         """One push-forward step of a cell-mass vector."""
         return self.pushes @ d
 
+    def residual(self, d: np.ndarray) -> float:
+        """The L1 norm of P d - d, formed in place in the push's output."""
+        out = self.apply_to_masses(d)
+        out -= d
+        return float(np.abs(out, out=out).sum())
+
     def masses_to_density(self, d: np.ndarray) -> PiecewiseAffineFunction:
         return PiecewiseAffineFunction.step(self.edges, d / self.cell_width)
 
@@ -91,22 +97,28 @@ class UlamOperator:
 
 def ulam_matrix(map_: PiecewiseLinearMap, n: int) -> UlamOperator:
     """Exact Ulam matrix: branch preimages are intervals, so every entry is an
-    interval-length ratio computed in closed form."""
+    interval-length ratio computed in closed form.  The entries reach the
+    CSR conversion joined, with int32 indices, and no branch array alive."""
     import scipy.sparse as sp  # here, so that `import ergclt` loads no scipy
 
     if n < 2:
         raise ValueError("need at least two cells")
+    rows_i, cols_j, vals = (np.concatenate(part) for part in zip(*_ulam_entries(map_, n)))
+    rows = sp.coo_matrix((vals, (rows_i, cols_j)), shape=(n, n)).tocsr()
+    return UlamOperator(grid_n=n, domain=map_.domain, rows=rows)
+
+
+def _ulam_entries(map_: PiecewiseLinearMap, n: int):
+    """Yield the Ulam entries (rows, columns, values) of each branch, one
+    triple per offset of the image cell from the branch's first one."""
     lo, hi = map_.domain.lo, map_.domain.hi
     edges = np.linspace(lo, hi, n + 1)
     w = (hi - lo) / n
-    rows_i = []
-    cols_j = []
-    vals = []
     for (piece, s, c) in map_.branches:
         # source cells overlapping this branch piece
         i0 = max(int(np.floor((piece.lo - lo) / w)), 0)
         i1 = min(int(np.ceil((piece.hi - lo) / w)), n)
-        idx = np.arange(i0, i1)
+        idx = np.arange(i0, i1, dtype=np.int32)
         seg_lo = np.maximum(edges[idx], piece.lo)
         seg_hi = np.minimum(edges[idx + 1], piece.hi)
         keep = seg_hi - seg_lo > 1e-15 * max(1.0, abs(hi), abs(lo))
@@ -118,8 +130,8 @@ def ulam_matrix(map_: PiecewiseLinearMap, n: int) -> UlamOperator:
         img_lo = np.minimum(a_img, b_img)
         img_hi = np.maximum(a_img, b_img)
         frac = (seg_hi - seg_lo) / w  # share of the source cell in this branch
-        j_lo = np.clip(np.searchsorted(edges, img_lo, side="right") - 1, 0, n - 1)
-        j_hi = np.clip(np.searchsorted(edges, img_hi, side="left") - 1, 0, n - 1)
+        j_lo = np.clip(np.searchsorted(edges, img_lo, side="right") - 1, 0, n - 1).astype(np.int32)
+        j_hi = np.clip(np.searchsorted(edges, img_hi, side="left") - 1, 0, n - 1).astype(np.int32)
         span = int((j_hi - j_lo).max()) + 1
         img_len = img_hi - img_lo
         for off in range(span):
@@ -127,17 +139,8 @@ def ulam_matrix(map_: PiecewiseLinearMap, n: int) -> UlamOperator:
             ov = np.minimum(img_hi, edges[j + 1]) - np.maximum(img_lo, edges[j])
             ov = np.maximum(ov, 0.0)
             m = (off <= j_hi - j_lo) & (ov > 0) & (img_len > 0)
-            if not np.any(m):
-                continue
-            rows_i.append(idx[m])
-            cols_j.append(j[m])
-            vals.append(frac[m] * ov[m] / img_len[m])
-    mat = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows_i), np.concatenate(cols_j))),
-        shape=(n, n),
-    ).tocsr()
-    mat.sum_duplicates()
-    return UlamOperator(grid_n=n, domain=map_.domain, rows=mat)
+            if np.any(m):
+                yield idx[m], j[m], frac[m] * ov[m] / img_len[m]
 
 
 _CESARO_WINDOWS = (1, 2, 4, 8, 16, 32, 64)
@@ -193,7 +196,7 @@ def invariant_density(op: UlamOperator, *, tol: float = 1e-10, return_info: bool
             avg[image] = acc
             avg /= avg.sum()
             acc.fill(0.0)
-            res = float(np.abs(op.apply_to_masses(avg) - avg).sum())
+            res = op.residual(avg)
             if res < best_res:
                 best_res = res
                 best = avg
@@ -202,6 +205,7 @@ def invariant_density(op: UlamOperator, *, tol: float = 1e-10, return_info: bool
         check_every = min(2 * check_every, 4096)
     if best_res > tol:
         raise ConvergenceError(f"no invariant density after {steps} iterations", best_res)
+    del sums, chain, d  # before the density is built
     best = np.maximum(best, 0.0)
     best /= best.sum()
     fn = op.masses_to_density(best)

@@ -29,6 +29,9 @@ the full tent), and the cell's row holds the branch offset and sign and the
 observable's slope and intercept.  A step observable is read off the word
 through that row; the word is converted to a float only when the observable
 has a non-zero slope.
+
+The goodness-of-fit checks read the normal CDF from the standard library's
+`math.erfc`, so simulating and checking a limit law loads no scipy module.
 """
 
 from __future__ import annotations
@@ -312,12 +315,20 @@ class CltSample:
         return self.paths[:, k]
 
     def to_csv(self, path: str):
-        """One row per path and grid time, the floats in `repr`, in one atomic write."""
-        from .cli import _atomic_write
+        """One row per path and grid time, the floats in `repr`, in one atomic
+        write of blocks of `cli._BLOCK_ROWS` rows, so the whole text is never held."""
+        from .cli import _BLOCK_ROWS, _atomic_write
         times = [repr(float(t)) for t in self.t_grid]
-        rows = itertools.product(map(str, range(self.paths.shape[0])), times)
-        values = map(repr, self.paths.ravel().tolist())
-        _atomic_write(path, "path_id,t,value\n" + "".join([f"{i},{t},{v}\n" for (i, t), v in zip(rows, values)]))
+        rows = ((str(i), t) for i in range(self.paths.shape[0]) for t in times)
+        values = self.paths.ravel()
+
+        def blocks():
+            yield "path_id,t,value\n"
+            for lo in range(0, len(values), _BLOCK_ROWS):
+                block = map(repr, values[lo:lo + _BLOCK_ROWS].tolist())
+                # the block leads the zip, so its end takes no row from `rows`
+                yield "".join([f"{i},{t},{v}\n" for v, (i, t) in zip(block, rows)])
+        _atomic_write(path, blocks())
 
 
 def partial_sum_paths(map_: PiecewiseLinearMap, h: Observable, n: int, t_grid,
@@ -376,9 +387,9 @@ def ks_statistic(samples, cdf, target: dict | None = None, t: float = 1.0) -> Go
 
 def mixture_normal_cdf(components, t: float, x):
     """CDF of a scale mixture of centered normals at time t:
-    sum of w_i * Phi(x / sqrt(v_i * t))."""
-    from scipy.special import ndtr  # here, so that `import ergclt` loads no scipy
-
+    sum of w_i * Phi(x / sqrt(v_i * t)).  Phi(z) = erfc(-z / sqrt(2)) / 2
+    comes from the standard library's `math.erfc`, within 2^-52 of
+    `scipy.special.ndtr`, so a KS check loads no scipy module."""
     if t <= 0:
         raise ValueError("need t > 0")
     comps = [(float(w), float(v)) for (w, v) in components]
@@ -392,7 +403,8 @@ def mixture_normal_cdf(components, t: float, x):
         if v * t <= 0:
             out += w * (x >= 0)
         else:
-            out += w * ndtr(x / math.sqrt(v * t))
+            phi = [0.5 * math.erfc(-z) for z in (x / math.sqrt(2.0 * v * t)).ravel().tolist()]
+            out += w * np.reshape(phi, x.shape)
     return out
 
 

@@ -25,7 +25,7 @@ package to their bytes:
   seed; the detection seeded the cell at `np.argmax` of the density's
   intercepts, which is a cell of the chain only for its own density;
 - the density CSV rendered as one text, and the sample CSV written one
-  formatted row at a time;
+  formatted row at a time, then rendered as one text;
 - the density JSON with its cell list built at once and dumped as one text;
 - the Perron-Frobenius push that recomputed its geometry (preimages,
   union grid, cell cover) on every call;
@@ -428,6 +428,13 @@ def sample_csv(sample, path):
         for i in range(sample.paths.shape[0]):
             for t, v in zip(sample.t_grid, sample.paths[i]):
                 fh.write(f"{i},{float(t)!r},{float(v)!r}\n")
+
+
+def sample_csv_text(sample):
+    times = [repr(float(t)) for t in sample.t_grid]
+    rows = itertools.product(map(str, range(sample.paths.shape[0])), times)
+    values = map(repr, sample.paths.ravel().tolist())
+    return "path_id,t,value\n" + "".join([f"{i},{t},{v}\n" for (i, t), v in zip(rows, values)])
 
 
 def density_csv(density):

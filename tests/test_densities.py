@@ -132,6 +132,22 @@ def test_invariant_density_memory_bounded():
     assert _traced_peak_mib(lambda: invariant_density(op)) <= 16.0
 
 
+def test_ulam_chain_memory_bounded():
+    """Build, iteration and detection of the tent a = 1.3 chain at 65,536
+    cells trace at most 10 MiB: no entry list or branch array outlives the
+    COO triple, and no window sum, sub-chain or iterate the density (11.7
+    MiB while they did).  A small chain runs first, so that no scipy import
+    is traced."""
+    import scipy.sparse  # noqa: F401
+
+    def chain(n):
+        op = ulam_matrix(tent_map(1.3), n)
+        detect_periodicity(op, invariant_density(op))
+
+    chain(64)
+    assert _traced_peak_mib(lambda: chain(65536)) <= 10.0
+
+
 def test_density_command_memory_bounded(tmp_path):
     """`density` at 65,536 cells writes its CSV in blocks, never the whole text
     at once (67 MiB traced with the stacked iterates and the one text)."""

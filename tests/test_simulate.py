@@ -378,6 +378,31 @@ def test_csv_matches_row_by_row_reference(tmp_path, shape):
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
+@pytest.mark.parametrize("n_paths", [2, 4097, 10_000])
+def test_csv_blocks_match_one_text(tmp_path, n_paths):
+    """The CSV written in blocks of `cli._BLOCK_ROWS` rows has the bytes of
+    the whole text formatted at once, across block ends."""
+    tb = three_branch_system()
+    inits = sample_from_density(tb.density, n_paths, 5)
+    sample = partial_sum_paths(tb.map, tb.observable, 64, [0.25, 0.5, 1.0], inits, 5)
+    sample.to_csv(str(tmp_path / "new.csv"))
+    assert (tmp_path / "new.csv").read_bytes() == ref.sample_csv_text(sample).encode("utf-8")
+
+
+def test_csv_memory_bounded(tmp_path):
+    """At 200,000 paths (an 18 MB file) `to_csv` traces at most 10 MiB: it
+    never holds the whole text or a list of its rows (98.6 MiB when it did)."""
+    paths = np.random.default_rng(0).standard_normal((200_000, 3))
+    sample = simulate.CltSample(n=8, t_grid=np.array([0.25, 0.5, 1.0]), paths=paths, inits=np.zeros(200_000))
+    tracemalloc.start()
+    try:
+        sample.to_csv(str(tmp_path / "big.csv"))
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10.0
+
+
 # ----------------------------------------------------------------------
 # KS statistic and mixture CDF
 # ----------------------------------------------------------------------
@@ -413,6 +438,14 @@ def test_mixture_cdf_symmetry_and_reduction():
     assert mixture_normal_cdf(comps, 1.0, 0.0) == pytest.approx(0.5, abs=1e-14)
     single = mixture_normal_cdf([(1.0, 2.0)], 1.0, np.array([0.3, -0.4]))
     np.testing.assert_allclose(single, ndtr(np.array([0.3, -0.4]) / math.sqrt(2.0)), atol=1e-14)
+
+
+def test_phi_within_2_pow_minus_52_of_ndtr():
+    """Phi from `math.erfc` stays within 2^-52 absolute of scipy's ndtr on
+    [-40, 40], on a grid that is dense near 0."""
+    x = np.concatenate([np.linspace(-40.0, 40.0, 80_001), np.linspace(-1e-3, 1e-3, 2_001),
+                        np.geomspace(1e-300, 40.0, 2_000), -np.geomspace(1e-300, 40.0, 2_000)])
+    assert np.abs(mixture_normal_cdf([(1.0, 1.0)], 1.0, x) - ndtr(x)).max() <= 2.0**-52
 
 
 def test_mixture_density_at_zero():
