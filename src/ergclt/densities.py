@@ -205,7 +205,7 @@ def invariant_density(op: UlamOperator, *, tol: float = 1e-10, return_info: bool
         check_every = min(2 * check_every, 4096)
     if best_res > tol:
         raise ConvergenceError(f"no invariant density after {steps} iterations", best_res)
-    del sums, chain, d  # before the density is built
+    del sums, chain, d  # so that the density is not built on top of them
     best = np.maximum(best, 0.0)
     best /= best.sum()
     fn = op.masses_to_density(best)

@@ -403,8 +403,8 @@ def mixture_normal_cdf(components, t: float, x):
         if v * t <= 0:
             out += w * (x >= 0)
         else:
-            phi = [0.5 * math.erfc(-z) for z in (x / math.sqrt(2.0 * v * t)).ravel().tolist()]
-            out += w * np.reshape(phi, x.shape)
+            z = -x / math.sqrt(2.0 * v * t)
+            out += w * (0.5 * np.fromiter(map(math.erfc, z.ravel().tolist()), float, z.size)).reshape(x.shape)
     return out
 
 

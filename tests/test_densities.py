@@ -134,10 +134,10 @@ def test_invariant_density_memory_bounded():
 
 def test_ulam_chain_memory_bounded():
     """Build, iteration and detection of the tent a = 1.3 chain at 65,536
-    cells trace at most 10 MiB: no entry list or branch array outlives the
-    COO triple, and no window sum, sub-chain or iterate the density (11.7
-    MiB while they did).  A small chain runs first, so that no scipy import
-    is traced."""
+    cells trace at most 10 MiB: no entry list or branch array is alive at
+    the CSR conversion, and no window sum, sub-chain or iterate while the
+    density is built (11.7 MiB while they were).  A small chain runs first,
+    so that no scipy import is traced."""
     import scipy.sparse  # noqa: F401
 
     def chain(n):

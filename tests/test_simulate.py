@@ -390,10 +390,11 @@ def test_csv_blocks_match_one_text(tmp_path, n_paths):
 
 
 def test_csv_memory_bounded(tmp_path):
-    """At 200,000 paths (an 18 MB file) `to_csv` traces at most 10 MiB: it
-    never holds the whole text or a list of its rows (98.6 MiB when it did)."""
-    paths = np.random.default_rng(0).standard_normal((200_000, 3))
-    sample = simulate.CltSample(n=8, t_grid=np.array([0.25, 0.5, 1.0]), paths=paths, inits=np.zeros(200_000))
+    """At 200,000 paths and one grid time (a 6 MB file) `to_csv` traces at
+    most 10 MiB: it never holds the whole text or a list of its rows (40.9
+    MiB when it did)."""
+    paths = np.random.default_rng(0).standard_normal((200_000, 1))
+    sample = simulate.CltSample(n=8, t_grid=np.array([1.0]), paths=paths, inits=np.zeros(200_000))
     tracemalloc.start()
     try:
         sample.to_csv(str(tmp_path / "big.csv"))
