@@ -403,8 +403,9 @@ def mixture_normal_cdf(components, t: float, x):
         if v * t <= 0:
             out += w * (x >= 0)
         else:
-            z = -x / math.sqrt(2.0 * v * t)
-            out += w * (0.5 * np.fromiter(map(math.erfc, z.ravel().tolist()), float, z.size)).reshape(x.shape)
+            z = (-x / math.sqrt(2.0 * v * t)).ravel().tolist()
+            phi = 0.5 * np.fromiter(map(math.erfc, z), float, len(z))
+            out += w * phi.reshape(x.shape)
     return out
 
 
