@@ -2,9 +2,9 @@
 
 Branch selection uses half-open pieces ``[lo, hi)`` with the final piece
 closed; the maps in scope are continuous so the convention only fixes
-behaviour on a null set.  Branches, and the observable pieces of the float
-orbit engine, are found with `cut_index`, which counts the cuts at or below a
-point.
+behaviour on a null set.  Branches are found with `cut_index`, which counts
+the cuts at or below a point; the orbit engines count the map's inner edges
+and the observable's breakpoints together, as one merged set of cuts.
 """
 
 from __future__ import annotations
@@ -22,13 +22,11 @@ def cut_index(cuts, v: np.ndarray) -> np.ndarray:
     """The number of entries of the sorted `cuts` at or below each entry of
     v, as an intp array: the index of v's piece when the cuts are a grid's
     inner breakpoints.  It takes one vectorized comparison and one add per
-    cut, O(len(cuts)) per entry and no binary search; the maps and the
-    observables that orbits run have at most about ten cuts.  v and cuts
-    are floats or 64-bit words alike; NaN counts no cut.  Per path-step only
-    the float orbit engine calls it (through `PiecewiseLinearMap.step` too);
-    the bit engine counts its word cuts once per cell when it builds its
-    tables, and per step reads the same counts from a bucket table
-    (`simulate._word_cells`)."""
+    cut, O(len(cuts)) per entry and no binary search.  v and cuts are floats
+    or 64-bit words alike; NaN counts no cut.  The orbit engines call it
+    only for their cell tables (`simulate._merged_cells`); per path-step the
+    float engine counts the same way into reused buffers, and the bit engine
+    reads the count from a bucket table (`simulate._word_cells`)."""
     count = np.zeros(v.shape, dtype=np.min_scalar_type(len(cuts)))
     at_or_above = np.empty(v.shape, dtype=bool)
     for c in cuts:
@@ -123,7 +121,7 @@ class PiecewiseLinearMap:
         return float(out[0]) if x.ndim == 0 else out
 
     def step(self, x: np.ndarray) -> np.ndarray:
-        """Vectorized map application without domain checks (hot loop use)."""
+        """Vectorized map application without domain checks, clamped to the domain."""
         idx = self.branch_index(x)
         out = self._slopes.take(idx) * x + self._intercepts.take(idx)
         np.maximum(out, self.domain.lo, out=out)

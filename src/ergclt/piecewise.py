@@ -64,7 +64,7 @@ def _sorted_union(grids) -> np.ndarray:
     pts = np.concatenate(grids)
     pts.sort()
     keep = np.empty(len(pts), dtype=bool)
-    keep[0] = True
+    keep[:1] = True
     np.not_equal(pts[1:], pts[:-1], out=keep[1:])
     return pts[keep]
 
@@ -306,16 +306,21 @@ def pw_sum(fns) -> PiecewiseAffineFunction:
 
     Summands are added in order, each only on the merged cells its span
     covers; the rest of the union span adds nothing, which leaves the same
-    bits as adding zero to a sum that starts at +0.0.
+    bits as adding zero to a sum that starts at +0.0, as do all-±0.0 slopes,
+    which are not added.  Each distinct grid is merged and placed once.
     """
-    grid = _dedupe_breakpoints(_sorted_union([f.breakpoints for f in fns]))
+    keys = [f.breakpoints.tobytes() for f in fns]  # iterates repeat a few grids
+    grids = dict(zip(keys, (f.breakpoints for f in fns)))
+    grid = _dedupe_breakpoints(_sorted_union(list(grids.values())))
     _check_budget(len(grid) - 1)
     mids = 0.5 * (grid[:-1] + grid[1:])
+    placed = {key: _cells_covered(bp, mids) for key, bp in grids.items()}
     sl = np.zeros(len(mids))
     ic = np.zeros(len(mids))
-    for f in fns:
-        cells, counts = _cells_covered(f.breakpoints, mids)
-        sl[cells] += f.slopes.repeat(counts)
+    for f, key in zip(fns, keys):
+        cells, counts = placed[key]
+        if f.slopes.any():
+            sl[cells] += f.slopes.repeat(counts)
         ic[cells] += f.intercepts.repeat(counts)
     return PiecewiseAffineFunction(grid, sl, ic, validate=False)
 

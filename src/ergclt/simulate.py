@@ -17,18 +17,17 @@ The engine keeps the leading 64 bits of the binary expansion and streams
 fresh tail bits from the path's generator, which reproduces the law of exact
 orbits from stationary initial points.
 
-Both engines yield observable values, not points, and each path-step does one
-piece lookup without a binary search.  The float engine counts the cuts at or
-below each point by direct comparisons (`maps.cut_index`, O(cuts) per
-path-step).  The bit engine merges the branch thresholds and the observable's
-breakpoints, each moved to the first 64-bit word whose point reaches it, into
-one sorted table of word cuts; the count of cuts at or below the word is the
-cell, read from a bucket table indexed by the word's top bits (K + 1 reads,
+Both engines yield observable values, not points.  Each path-step finds its
+cell among the merged cuts of map and observable without a binary search and
+reads the branch and the observable's piece off the cell's row.  The float
+engine counts the cuts at or below each point into reused buffers (O(cuts))
+and steps the points in place, clamped to the domain unless every branch maps
+its piece's ends into it, x_0 lies in it and neither bound is a zero.  The
+bit engine moves each cut to the first 64-bit word that reaches it and reads
+the count from a bucket table indexed by the word's top bits (K + 1 reads,
 where K is the most cuts inside one bucket: 1 on the three-branch map, 0 on
-the full tent), and the cell's row holds the branch offset and sign and the
-observable's slope and intercept.  A step observable is read off the word
-through that row; the word is converted to a float only when the observable
-has a non-zero slope.
+the full tent).  A step observable is read off the word through the cell's
+row; the word is converted to a float only for a non-zero slope.
 
 The goodness-of-fit checks read the normal CDF from the standard library's
 `math.erfc`, so simulating and checking a limit law loads no scipy module.
@@ -202,16 +201,21 @@ def _word_cells(table, w: np.ndarray) -> np.ndarray:
     return cell
 
 
+def _merged_cells(map_cuts: np.ndarray, f_cuts: np.ndarray, first):
+    """The sorted union of the map's and f's cuts, and per cell between them
+    (lowest points `first`, then each cut) its branch and f's piece."""
+    cuts = _sorted_union([map_cuts, f_cuts])
+    lowest = np.concatenate((np.array([first], dtype=cuts.dtype), cuts))
+    return cuts, cut_index(map_cuts, lowest), cut_index(f_cuts, lowest)
+
+
 def _bit_cells(p: dict, f: PiecewiseAffineFunction):
     """One sorted table of word cuts for the bit engine: the branch
     thresholds and the cuts of f's inner breakpoints.  Per cell between
     them: the branch offset, the branch sign as a word mask (all ones on a
     slope -2 branch) and f's slope and intercept there."""
     f_cuts = _word_cuts(f.breakpoints[1:-1], p["lo"], p["width"])
-    cuts = _sorted_union([p["thresholds"], f_cuts])
-    lowest = np.concatenate((np.zeros(1, dtype=np.uint64), cuts))  # each cell's lowest word
-    branch = cut_index(p["thresholds"], lowest)
-    piece = cut_index(f_cuts, lowest)
+    cuts, branch, piece = _merged_cells(p["thresholds"], f_cuts, 0)
     mask = np.where(p["neg"], np.uint64(_TWO64 - 1), np.uint64(0))
     return cuts, p["offset"][branch], mask[branch], f.slopes[piece], f.intercepts[piece]
 
@@ -223,31 +227,51 @@ def _orbit(map_: PiecewiseLinearMap, f: PiecewiseAffineFunction, inits: np.ndarr
     its end pieces extended past its span.
 
     Maps accepted by _dyadic_engine_params run the sliding-window bit engine,
-    which is exact in distribution.  Others run map_.step in double
-    precision, where rounding acts as benign pseudo-orbit noise.  Each
-    path-step finds its piece with one lookup: `cut_index`, O(cuts), in the
-    float engine, and the bucket table of `_cell_table` in the bit engine,
-    O(cuts inside one bucket), which gives the same cells.  A step
-    observable (every slope of f zero) yields its intercept, and the bit
-    engine then never forms x: for finite x that is the value of 0*x + c up
-    to the sign of a zero, which no partial sum started at +0.0 can see.
+    which is exact in distribution.  Others run in double precision, where
+    rounding acts as benign pseudo-orbit noise.  Each path-step finds its
+    cell among the cuts of `_merged_cells` in one lookup: by counting the
+    cuts, O(cuts), in the float engine and from the `_cell_table`, O(cuts
+    inside one bucket), in the bit engine.  The float engine steps x in place
+    as `PiecewiseLinearMap.step` does, but skips the clamp when it can move
+    no bit: fl(s*x + c) is monotone on a piece, so x stays in the domain if
+    x_0 and each branch's images of its piece's ends lie in it, and only at
+    a zero bound can the clamp of a point inside change it (-0.0 to +0.0).
+    A step observable (every slope of f zero) yields its intercept, and the
+    bit engine then never forms x: for finite x that is the value of 0*x + c
+    up to the sign of a zero, which no partial sum started at +0.0 can see.
     """
     affine = bool(np.any(f.slopes))
     p = _dyadic_engine_params(map_)
     if p is None:
-        inner, sl, ic = f.breakpoints[1:-1], f.slopes, f.intercepts
+        lo, hi = map_.domain.lo, map_.domain.hi
+        edges, ms, mc = map_._inner_edges, map_._slopes, map_._intercepts
+        cuts, branch, piece = _merged_cells(edges, f.breakpoints[1:-1], -np.inf)
         x = np.array(inits, dtype=float)
+        points = np.concatenate((ms * np.append(lo, edges) + mc, ms * np.append(edges, hi) + mc, x))
+        clamp = 0.0 in (lo, hi) or not np.all((lo <= points) & (points <= hi))
+        ms, mc, slope, intercept = ms[branch], mc[branch], f.slopes[piece], f.intercepts[piece]
+        count = np.empty(len(x), dtype=np.min_scalar_type(len(cuts)))
+        ones = np.empty(len(x), dtype=np.uint8)  # whether x is at or above a cut, as a count
+        at_or_above, cell, buf = ones.view(bool), np.empty(len(x), dtype=np.intp), np.empty(len(x))
         for k in range(n_steps):
+            count.fill(0)
+            for c in cuts:
+                np.greater_equal(x, c, out=at_or_above)
+                np.add(count, ones, out=count)
+            np.copyto(cell, count)
             if not affine:
-                yield ic.take(cut_index(inner, x))
+                yield intercept.take(cell)
             elif f.num_pieces == 1:
-                yield sl[0] * x + ic[0]
+                yield slope[0] * x + intercept[0]
             else:
-                piece = cut_index(inner, x)
-                yield sl.take(piece) * x + ic.take(piece)
+                yield slope.take(cell) * x + intercept.take(cell)
             if k + 1 == n_steps:
                 return
-            x = map_.step(x)
+            np.multiply(ms.take(cell, out=buf), x, out=x)
+            np.add(x, mc.take(cell, out=buf), out=x)
+            if clamp:
+                np.maximum(x, lo, out=x)
+                np.minimum(x, hi, out=x)
         return
 
     cuts, offset, mask, slope, intercept = _bit_cells(p, f)
@@ -311,8 +335,10 @@ class CltSample:
     inits: np.ndarray
 
     def marginal(self, t: float) -> np.ndarray:
-        k = int(np.flatnonzero(np.isclose(self.t_grid, t))[0])
-        return self.paths[:, k]
+        hits = np.flatnonzero(np.isclose(self.t_grid, t))
+        if not len(hits):
+            raise ValueError(f"t={t} is not a grid time of {self.t_grid.tolist()}")
+        return self.paths[:, hits[0]]
 
     def to_csv(self, path: str):
         """One row per path and grid time, the floats in `repr`, in one atomic
@@ -498,16 +524,17 @@ def maximal_inequality_sweep(map_: PiecewiseLinearMap, f: Observable,
     inits = sample_from_density(nu, trials, seed)
     orbit = _orbit(map_, f.f, inits, seed, ns[-1])
     s = np.zeros(trials)
-    m = np.zeros(trials)
+    top, bottom = np.zeros(trials), np.zeros(trials)  # running max and min of S; max |S| is the larger size
     reports = []
     for done, n in zip([0, *ns], ns):
         for value in itertools.islice(orbit, n - done):
             s += value
-            np.maximum(m, np.abs(s), out=m)
+            np.maximum(top, s, out=top)
+            np.minimum(bottom, s, out=bottom)
         q = n.bit_length()  # floor(log2(n)) + 1, so 2^(q-1) <= n < 2^q
         delta_q = deltas[q - 1]
         rhs = math.sqrt(n) * (3.0 * mart + 4.0 * math.sqrt(2.0) * delta_q)
-        msq = m * m
+        msq = np.square(np.maximum(top, -bottom))  # max |S_k|, squared
         mean_msq = float(msq.mean())
         lhs = math.sqrt(mean_msq)
         se_msq = float(msq.std(ddof=1)) / math.sqrt(trials)

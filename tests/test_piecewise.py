@@ -3,6 +3,7 @@ Riemann sums and hand-computed values, and byte-for-byte checks of its
 coefficient lookup against a reference midpoint search."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -321,12 +322,51 @@ def test_property_coeffs_on_matches_midpoint_search(f, g):
         assert_same_bytes(got[1], expect[1])
 
 
+def with_repeated_grid(rng, fns):
+    """fns with up to 11 summands on one grid put in at random places: a new
+    grid on a random span or the grid of a summand in fns, shared as the same
+    array or as a copy with the same bytes, with slopes all +0.0, all -0.0,
+    mixed ±0.0 or drawn."""
+    fns = list(fns)
+    if fns and rng.random() < 0.5:
+        bp = fns[int(rng.integers(len(fns)))].breakpoints
+    else:
+        bp = np.unique(rng.uniform(-1.0, 1.0, int(rng.integers(2, 9))))
+    for _ in range(int(rng.integers(0, 12))):
+        k = len(bp) - 1
+        slopes = [np.zeros(k), np.full(k, -0.0), np.where(rng.random(k) < 0.5, 0.0, -0.0), rng.normal(size=k)]
+        g = PAF(bp if rng.random() < 0.5 else bp.copy(), slopes[int(rng.integers(4))], rng.normal(size=k))
+        fns.insert(int(rng.integers(len(fns) + 1)), g)
+    return fns
+
+
 @given(st.lists(partial_functions(), max_size=3), st.integers(0, 300), st.integers(0, 2**32 - 1))
 def test_property_pw_sum_matches_reference(drawn, n, seed):
-    """Up to three drawn summands followed by n from a shared breakpoint pool."""
-    fns = drawn + random_summands(np.random.default_rng(seed), n)
+    """Up to three drawn summands followed by n from a shared breakpoint pool,
+    with summands that repeat one grid put in among them."""
+    rng = np.random.default_rng(seed)
+    fns = with_repeated_grid(rng, drawn + random_summands(rng, n))
     assume(fns)
     assert_same_function(pw_sum(fns), reference_pw_sum(fns))
+
+
+def test_pw_sum_of_repeated_grids_peak_memory():
+    """A dyadic end of `clt.partial_sum_norms` adds up to 257 iterates that
+    repeat a few grids.  With 257 step summands alternating between two
+    150-piece grids, pw_sum's traced peak stays at or below 354,383 bytes,
+    the peak of the merge that concatenated every summand's grid (numpy
+    2.4.6); holding every summand's repeat at once would pass it."""
+    rng = np.random.default_rng(33)
+    grids = [np.linspace(-1.0, 1.0, 151), np.sort(np.concatenate(([-1.0, 1.0], rng.uniform(-1.0, 1.0, 149))))]
+    fns = [PAF(grids[k % 2], np.zeros(150), rng.normal(size=150)) for k in range(257)]
+    pw_sum(fns)
+    tracemalloc.start()
+    try:
+        pw_sum(fns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 354_383
 
 
 @given(st.lists(partial_functions(), min_size=1, max_size=3), st.booleans(), spans(-1.5, 1.5))
@@ -354,6 +394,11 @@ def test_property_sorted_union_matches_unique(grids):
     """np.unique's steps, down to which of -0.0 and 0.0 is kept."""
     grids = [np.array(g) for g in grids]
     assert_same_bytes(_sorted_union(grids), np.unique(np.concatenate(grids)))
+
+
+def test_sorted_union_of_empty_grids_is_empty():
+    """A one-branch map and a one-piece function have no inner cuts to merge."""
+    assert_same_bytes(_sorted_union([np.array([]), np.array([])]), np.array([]))
 
 
 @st.composite

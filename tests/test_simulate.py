@@ -17,15 +17,17 @@ from scipy.special import ndtr
 import references as ref
 from ergclt import simulate
 from ergclt.clt import Observable, tent_system, three_branch_system, variance_profile
-from ergclt.maps import cut_index, tent_map, tent_support_cycle, three_branch_map
+from ergclt.maps import Interval, PiecewiseLinearMap, cut_index, tent_map, tent_support_cycle, three_branch_map
 from ergclt.piecewise import PiecewiseAffineFunction as PAF
 from ergclt.piecewise import integrate_product
 from ergclt.simulate import (
     _STREAM_BITS,
     _TWO64,
+    CltSample,
     _bit_cells,
     _cell_table,
     _dyadic_engine_params,
+    _merged_cells,
     _orbit,
     _rng,
     _word_cells,
@@ -324,6 +326,89 @@ def test_orbit_yields_new_arrays(system, kind):
         kept.append(value)
         copies.append(value.copy())
     assert all(a.tobytes() == b.tobytes() for a, b in zip(kept, copies))
+
+
+# Float-engine maps whose float image leaves the domain by about 1e-10 at
+# the middle edge (2 * 0.5 + 1e-10 > 1), which the map's own check accepts:
+# their orbits need the clamp.  The second has slopes ±1.9 on [1, 2], where
+# no bound is a zero.
+_LEAKY_MAPS = [PiecewiseLinearMap(Interval(0.0, 1.0), [((0.0, 0.5), 2.0, 1e-10), ((0.5, 1.0), -2.0, 2.0 + 1e-10)]),
+               PiecewiseLinearMap(Interval(1.0, 2.0), [((1.0, 1.5), 1.9, -0.85 + 1e-10),
+                                                       ((1.5, 2.0), -1.9, 4.85 + 1e-10)])]
+
+
+def assert_same_orbit(map_, f, inits, seed, n_steps):
+    """_orbit yields the bytes of `references.orbit`, which clamps every step."""
+    got = [v.tobytes() for v in _orbit(map_, f, inits, seed, n_steps)]
+    want = [v.tobytes() for v in ref.orbit(map_, f, inits, seed, n_steps)]
+    assert got == want
+
+
+@pytest.mark.parametrize("map_", _LEAKY_MAPS, ids=["unit", "shifted"])
+def test_float_engine_keeps_the_clamp_where_the_float_image_leaves_the_domain(map_):
+    """From the midpoint and the float below it the first step lands past the
+    upper bound and is clamped there; orbits that skipped the clamp would
+    read other bytes."""
+    lo, hi = map_.domain.lo, map_.domain.hi
+    mid = map_.branches[1][0].lo
+    assert _dyadic_engine_params(map_) is None
+    f = PAF.affine(lo, hi, 1.0, 0.0)
+    inits = np.concatenate(([mid, np.nextafter(mid, lo)], np.random.default_rng(3).uniform(lo, hi, 30)))
+    assert [float(v[0]) for v in ref.orbit(map_, f, inits, 3, 2)] == [mid, hi]
+    assert_same_orbit(map_, f, inits, 3, 80)
+
+
+@pytest.mark.parametrize("f", [PAF.step([-1.0, 0.0, 1.0], [1.0, -1.0]), PAF.affine(-1.0, 1.0, 1.0, 0.0)],
+                         ids=["step", "identity"])
+def test_maximal_sweep_with_initial_points_outside_the_domain(f):
+    """nu on [-1.5, 1.5] draws initial points past the tent's domain, which the
+    float engine must clamp back after the first step (unclamped, they run
+    off to -inf); the reports match the reference orbit and its running max
+    of |S| bit for bit, for a step observable and the identity."""
+    s = tent_system(1.3)
+    nu = PAF.constant(-1.5, 1.5, 1.0 / 3.0)
+    h = Observable(f=f, centered_wrt="nu")
+    trials, seed, ns = 300, 13, [8, 64]
+    inits = sample_from_density(nu, trials, seed)
+    assert np.any(np.abs(inits) > 1.0)
+    got = maximal_inequality_sweep(s.map, h, s.transfer, nu, ns, trials, seed)
+    with mock.patch.object(simulate, "_orbit", ref.orbit):
+        want = maximal_inequality_sweep(s.map, h, s.transfer, nu, ns, trials, seed)
+    assert repr(got) == repr(want)
+    sums = np.cumsum(list(ref.orbit(s.map, h.f, inits, seed, ns[-1])), axis=0)
+    for rep, n in zip(got, ns):
+        m = np.max(np.abs(sums[:n]), axis=0)
+        assert rep.lhs == math.sqrt(float((m * m).mean()))
+
+
+@pytest.mark.parametrize("f", [PAF.constant(0.0, 1.0, 0.7), PAF.affine(0.0, 1.0, 2.0, -1.0)],
+                         ids=["constant", "affine"])
+def test_one_branch_map_has_no_cuts(f):
+    """A one-branch contraction with a one-piece observable merges no cuts:
+    every point is in the one cell."""
+    map_ = PiecewiseLinearMap(Interval(0.0, 1.0), [((0.0, 1.0), 0.5, 0.25)])
+    cuts, branch, piece = _merged_cells(map_._inner_edges, f.breakpoints[1:-1], -np.inf)
+    assert len(cuts) == 0 and branch.tolist() == piece.tolist() == [0]
+    assert_same_orbit(map_, f, np.random.default_rng(5).uniform(0.0, 1.0, 20), 5, 40)
+
+
+def test_float_engine_keeps_the_clamp_at_a_zero_bound():
+    """Every image stays in [0, 1], but from x_0 = -0.0 the step gives
+    0.5 * -0.0 + -0.0 = -0.0, which the clamp turns into +0.0; an observable
+    with intercept -0.0 shows the sign."""
+    map_ = PiecewiseLinearMap(Interval(0.0, 1.0), [((0.0, 1.0), 0.5, -0.0)])
+    f = PAF.affine(0.0, 1.0, 1.0, -0.0)
+    want = [np.array([x]).tobytes() for x in (-0.0, 0.0)]
+    assert [v.tobytes() for v in ref.orbit(map_, f, np.array([-0.0]), 0, 2)] == want
+    assert_same_orbit(map_, f, np.array([-0.0, 0.0, 0.3]), 0, 4)
+
+
+def test_marginal_off_the_grid_names_t_and_the_grid():
+    sample = CltSample(n=4, t_grid=np.array([0.5, 1.0]), paths=np.array([[1.0, 2.0], [3.0, 4.0]]),
+                       inits=np.zeros(2))
+    assert sample.marginal(1.0).tolist() == [2.0, 4.0]
+    with pytest.raises(ValueError, match=r"t=0\.3 is not a grid time of \[0\.5, 1\.0\]"):
+        sample.marginal(0.3)
 
 
 def test_nan_inputs_rejected():
